@@ -59,8 +59,8 @@ fn bench_message_codec(c: &mut Criterion) {
     };
     c.bench_function("command_encode_decode", |b| {
         b.iter(|| {
-            let mut buf = black_box(&cmd).encode();
-            black_box(Command::decode(&mut buf).unwrap())
+            let frame = black_box(&cmd).encode();
+            black_box(Command::decode(&mut frame.as_slice()).unwrap())
         })
     });
 }

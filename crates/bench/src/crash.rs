@@ -25,6 +25,7 @@ use iris_service::{recover, ControlMachine, StateSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::chaos::Distribution;
 
@@ -178,10 +179,14 @@ fn script(seed: u64, batches: usize, n_pairs: usize) -> Vec<ScriptedBatch> {
 }
 
 /// A unique, throwaway WAL directory. Never serialized into the report.
+/// The process-wide sequence number keeps sweeps that run concurrently
+/// in one process (parallel unit tests) out of each other's directories.
 fn scratch_dir(label: &str, scenario: usize) -> PathBuf {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir()
         .join("iris-crash-sweep")
-        .join(format!("{}-{label}-s{scenario}", std::process::id()));
+        .join(format!("{}-{seq}-{label}-s{scenario}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -9,31 +9,18 @@
 //! sending [`crate::api::Request::Hello`] (see there for the switch
 //! protocol).
 //!
-//! ## Binary format
-//!
-//! Little-endian, tag-prefixed, no self-description, built on the
-//! value-level primitives shared through [`iris_wire::bin`]:
-//!
-//! * enum variant → one `u8` tag (the first payload byte, so a reader
-//!   can classify a response — error or not — without decoding it)
-//! * `u32`/`u64` → fixed-width little-endian; `usize` travels as `u64`
-//! * `f64` → IEEE-754 bits, little-endian
-//! * `bool` → one byte, `0`/`1` only
-//! * `String` → `u32` byte length + UTF-8 bytes
-//! * `Vec<T>` → `u32` element count + elements
-//! * `Option<T>` → presence byte + value
-//!
-//! Every length/count is checked against the bytes actually remaining
-//! in the payload *before* any allocation, so a hostile 4 GiB string
-//! header inside a 1 MiB frame is rejected without reserving memory.
-//! Decoding also demands the payload be fully consumed — trailing bytes
-//! are a decode error, same as JSON garbage.
+//! The binary layout is the workspace-wide one described in
+//! [`iris_wire::bin`]; this module lists each message's tag and fields.
+//! The first payload byte is the variant tag, so a reader can classify
+//! a response — error or not — without decoding it.
 
 use crate::api::{
     AllocEntry, HealthInfo, PathInfo, PeerInfo, PlanSummary, RecoverySummary, Request, Response,
     SlowRequestInfo, TopologySummary, TraceDumpInfo, TraceEventInfo,
 };
-use iris_errors::{IrisError, IrisResult};
+use iris_errors::IrisResult;
+use iris_wire::bin::{from_bytes, to_bytes, Encode};
+use iris_wire::{bin_enum, bin_struct};
 
 pub use iris_wire::Codec;
 
@@ -41,25 +28,72 @@ pub use iris_wire::Codec;
 /// client and loadgen can classify replies in O(1) on the hot path.
 pub const BIN_RESPONSE_ERROR_TAG: u8 = 10;
 
-fn decode_err(detail: impl Into<String>) -> IrisError {
-    IrisError::Decode {
-        detail: detail.into(),
-    }
-}
+bin_enum!(Request, "request" {
+    0 => GetPlan,
+    1 => GetTopology,
+    2 => QueryPath { a, b },
+    3 => UpdateDemand { a, b, circuits },
+    4 => ReportFiberCut { cuts },
+    5 => Health,
+    6 => MetricsSnapshot,
+    7 => TraceDump { max_events },
+    8 => Hello { codec },
+    9 => GetPlanAt { min_epoch, wait_ms },
+    10 => Replicate { source_region, batch },
+    11 => SyncState { source_region, state },
+    12 => Promote,
+});
+
+bin_enum!(Response, "response" {
+    0 => Plan(plan),
+    1 => Topology(topology),
+    2 => Path(path),
+    3 => DemandAccepted { queue_depth, epoch },
+    4 => Recovery(recovery),
+    5 => CutAlreadyActive { active_cuts },
+    6 => Health(health),
+    7 => Metrics { prometheus },
+    8 => Trace(trace),
+    9 => HelloAck { codec },
+    BIN_RESPONSE_ERROR_TAG => Error(error),
+    11 => ReplicateAck { epoch, state_crc },
+});
+
+bin_struct!(PlanSummary, "plan" {
+    epoch, dcs, ducts, used_ducts, cut_tolerance, scenarios_examined, dc_transceivers,
+    fiber_pair_spans, oss_ports, feasible,
+});
+bin_struct!(TopologySummary, "topology" {
+    epoch, dcs, huts, ducts, active_cuts, allocation, quarantined,
+});
+bin_struct!(AllocEntry, "allocation" { a, b, circuits });
+bin_struct!(PathInfo, "path" { a, b, nodes, edges, length_km, rtt_ms, circuits, epoch });
+bin_struct!(RecoverySummary, "recovery" {
+    cuts, within_tolerance, fully_recovered, shed_pairs, detection_ms, replan_ms, reconfig_ms,
+    recovery_ms,
+});
+bin_struct!(PeerInfo, "peer" {
+    region, addr, connected, acked_epoch, lag_epochs, lag_ms, reconnects,
+});
+bin_struct!(HealthInfo, "health" {
+    region, role, peers, epoch, queue_depth, writes_applied, coalesced, overloaded, active_cuts,
+    quarantined, last_recovery, uptime_ms, wal_records, wal_bytes, last_fsync_ms,
+});
+bin_struct!(TraceDumpInfo, "trace" { enabled, dropped, events, slow });
+bin_struct!(TraceEventInfo, "event" {
+    trace_id, span_id, parent_id, stage, start_us, dur_us, modeled,
+});
+bin_struct!(SlowRequestInfo, "slow" { trace_id, op, total_ms, at_us });
 
 /// Serialize a request in `codec`.
 ///
 /// # Errors
 ///
-/// [`IrisError::Decode`] if serialization fails.
+/// [`iris_errors::IrisError::Decode`] if serialization fails.
 pub fn encode_request(codec: Codec, req: &Request) -> IrisResult<Vec<u8>> {
     match codec {
         Codec::Json => crate::api::encode_request(req),
-        Codec::Binary => {
-            let mut buf = Vec::with_capacity(16);
-            bin::write_request(&mut buf, req);
-            Ok(buf)
-        }
+        Codec::Binary => Ok(to_bytes(req)),
     }
 }
 
@@ -67,17 +101,12 @@ pub fn encode_request(codec: Codec, req: &Request) -> IrisResult<Vec<u8>> {
 ///
 /// # Errors
 ///
-/// [`IrisError::Decode`] for malformed payloads (bad tag, truncated
-/// fields, over-long length headers, trailing bytes).
+/// [`iris_errors::IrisError::Decode`] for malformed payloads (bad tag,
+/// truncated fields, over-long length headers, trailing bytes).
 pub fn decode_request(codec: Codec, payload: &[u8]) -> IrisResult<Request> {
     match codec {
         Codec::Json => crate::api::decode_request(payload),
-        Codec::Binary => {
-            let mut rd = bin::Reader::new(payload);
-            let req = bin::read_request(&mut rd)?;
-            rd.finish("request")?;
-            Ok(req)
-        }
+        Codec::Binary => from_bytes(payload, "request"),
     }
 }
 
@@ -87,9 +116,9 @@ pub fn decode_request(codec: Codec, payload: &[u8]) -> IrisResult<Request> {
 ///
 /// # Errors
 ///
-/// [`IrisError::Decode`] if serialization fails. `buf` may hold a
-/// partial encoding after an error; callers truncate back to the length
-/// they recorded before the call.
+/// [`iris_errors::IrisError::Decode`] if serialization fails. `buf` may
+/// hold a partial encoding after an error; callers truncate back to the
+/// length they recorded before the call.
 pub fn encode_response_into(codec: Codec, resp: &Response, buf: &mut Vec<u8>) -> IrisResult<()> {
     match codec {
         Codec::Json => {
@@ -98,7 +127,7 @@ pub fn encode_response_into(codec: Codec, resp: &Response, buf: &mut Vec<u8>) ->
             Ok(())
         }
         Codec::Binary => {
-            bin::write_response(buf, resp);
+            resp.encode(buf);
             Ok(())
         }
     }
@@ -108,7 +137,7 @@ pub fn encode_response_into(codec: Codec, resp: &Response, buf: &mut Vec<u8>) ->
 ///
 /// # Errors
 ///
-/// [`IrisError::Decode`] if serialization fails.
+/// [`iris_errors::IrisError::Decode`] if serialization fails.
 pub fn encode_response(codec: Codec, resp: &Response) -> IrisResult<Vec<u8>> {
     let mut buf = Vec::with_capacity(64);
     encode_response_into(codec, resp, &mut buf)?;
@@ -119,16 +148,11 @@ pub fn encode_response(codec: Codec, resp: &Response) -> IrisResult<Vec<u8>> {
 ///
 /// # Errors
 ///
-/// [`IrisError::Decode`] for malformed payloads.
+/// [`iris_errors::IrisError::Decode`] for malformed payloads.
 pub fn decode_response(codec: Codec, payload: &[u8]) -> IrisResult<Response> {
     match codec {
         Codec::Json => crate::api::decode_response(payload),
-        Codec::Binary => {
-            let mut rd = bin::Reader::new(payload);
-            let resp = bin::read_response(&mut rd)?;
-            rd.finish("response")?;
-            Ok(resp)
-        }
+        Codec::Binary => from_bytes(payload, "response"),
     }
 }
 
@@ -144,660 +168,12 @@ pub fn response_payload_is_error(codec: Codec, payload: &[u8]) -> bool {
     }
 }
 
-mod bin {
-    //! The binary encoder/decoder for the service API, built on the
-    //! shared value-level primitives in [`iris_wire::bin`]. Encoding is
-    //! infallible (every value the API can hold is representable); the
-    //! bounds discipline lives in [`iris_wire::bin::Reader`].
-
-    use super::decode_err;
-    use super::{
-        AllocEntry, HealthInfo, IrisError, IrisResult, PathInfo, PeerInfo, PlanSummary,
-        RecoverySummary, Request, Response, SlowRequestInfo, TopologySummary, TraceDumpInfo,
-        TraceEventInfo,
-    };
-    pub(super) use iris_wire::bin::Reader;
-    use iris_wire::bin::{w_bool, w_count, w_f64, w_str, w_u32, w_u64, w_u8, w_usize, w_vec_usize};
-
-    // ---- request tags ----
-    const REQ_GET_PLAN: u8 = 0;
-    const REQ_GET_TOPOLOGY: u8 = 1;
-    const REQ_QUERY_PATH: u8 = 2;
-    const REQ_UPDATE_DEMAND: u8 = 3;
-    const REQ_REPORT_FIBER_CUT: u8 = 4;
-    const REQ_HEALTH: u8 = 5;
-    const REQ_METRICS_SNAPSHOT: u8 = 6;
-    const REQ_TRACE_DUMP: u8 = 7;
-    const REQ_HELLO: u8 = 8;
-    const REQ_GET_PLAN_AT: u8 = 9;
-    const REQ_REPLICATE: u8 = 10;
-    const REQ_SYNC_STATE: u8 = 11;
-    const REQ_PROMOTE: u8 = 12;
-
-    // ---- response tags (Error is super::BIN_RESPONSE_ERROR_TAG) ----
-    const RESP_PLAN: u8 = 0;
-    const RESP_TOPOLOGY: u8 = 1;
-    const RESP_PATH: u8 = 2;
-    const RESP_DEMAND_ACCEPTED: u8 = 3;
-    const RESP_RECOVERY: u8 = 4;
-    const RESP_CUT_ALREADY_ACTIVE: u8 = 5;
-    const RESP_HEALTH: u8 = 6;
-    const RESP_METRICS: u8 = 7;
-    const RESP_TRACE: u8 = 8;
-    const RESP_HELLO_ACK: u8 = 9;
-    const RESP_ERROR: u8 = super::BIN_RESPONSE_ERROR_TAG;
-    const RESP_REPLICATE_ACK: u8 = 11;
-
-    // ---- error sub-tags, in `IrisError` declaration order ----
-    const ERR_PORT_OUT_OF_RANGE: u8 = 0;
-    const ERR_CHANNEL_OUT_OF_RANGE: u8 = 1;
-    const ERR_UNREACHABLE: u8 = 2;
-    const ERR_DECODE: u8 = 3;
-    const ERR_VERIFY_FAILED: u8 = 4;
-    const ERR_RETRIES_EXHAUSTED: u8 = 5;
-    const ERR_QUARANTINED: u8 = 6;
-    const ERR_INFEASIBLE: u8 = 7;
-    const ERR_OVERLOADED: u8 = 8;
-    const ERR_INVALID_INPUT: u8 = 9;
-    const ERR_IO: u8 = 10;
-    const ERR_CORRUPT: u8 = 11;
-    const ERR_REPLAY_FAILED: u8 = 12;
-    const ERR_TIMEOUT: u8 = 13;
-    const ERR_NOT_PRIMARY: u8 = 14;
-
-    // Smallest possible encodings, used to reject element counts that
-    // could not possibly fit the remaining payload before allocating.
-    const MIN_ALLOC_ENTRY: usize = 8 + 8 + 4;
-    const MIN_TRACE_EVENT: usize = 8 + 4 + 4 + 4 + 8 + 8 + 1;
-    const MIN_SLOW_REQUEST: usize = 8 + 4 + 8 + 8;
-    const MIN_PEER_INFO: usize = 8 + 4 + 1 + 8 + 8 + 8 + 8;
-
-    pub(super) fn write_request(buf: &mut Vec<u8>, req: &Request) {
-        match req {
-            Request::GetPlan => w_u8(buf, REQ_GET_PLAN),
-            Request::GetTopology => w_u8(buf, REQ_GET_TOPOLOGY),
-            Request::QueryPath { a, b } => {
-                w_u8(buf, REQ_QUERY_PATH);
-                w_usize(buf, *a);
-                w_usize(buf, *b);
-            }
-            Request::UpdateDemand { a, b, circuits } => {
-                w_u8(buf, REQ_UPDATE_DEMAND);
-                w_usize(buf, *a);
-                w_usize(buf, *b);
-                w_u32(buf, *circuits);
-            }
-            Request::ReportFiberCut { cuts } => {
-                w_u8(buf, REQ_REPORT_FIBER_CUT);
-                w_vec_usize(buf, cuts);
-            }
-            Request::Health => w_u8(buf, REQ_HEALTH),
-            Request::MetricsSnapshot => w_u8(buf, REQ_METRICS_SNAPSHOT),
-            Request::TraceDump { max_events } => {
-                w_u8(buf, REQ_TRACE_DUMP);
-                w_u64(buf, *max_events);
-            }
-            Request::Hello { codec } => {
-                w_u8(buf, REQ_HELLO);
-                w_str(buf, codec);
-            }
-            Request::GetPlanAt { min_epoch, wait_ms } => {
-                w_u8(buf, REQ_GET_PLAN_AT);
-                w_u64(buf, *min_epoch);
-                w_u64(buf, *wait_ms);
-            }
-            Request::Replicate {
-                source_region,
-                batch,
-            } => {
-                w_u8(buf, REQ_REPLICATE);
-                w_u64(buf, *source_region);
-                w_str(buf, batch);
-            }
-            Request::SyncState {
-                source_region,
-                state,
-            } => {
-                w_u8(buf, REQ_SYNC_STATE);
-                w_u64(buf, *source_region);
-                w_str(buf, state);
-            }
-            Request::Promote => w_u8(buf, REQ_PROMOTE),
-        }
-    }
-
-    fn write_plan(buf: &mut Vec<u8>, p: &PlanSummary) {
-        w_u64(buf, p.epoch);
-        w_usize(buf, p.dcs);
-        w_usize(buf, p.ducts);
-        w_usize(buf, p.used_ducts);
-        w_usize(buf, p.cut_tolerance);
-        w_u64(buf, p.scenarios_examined);
-        w_u64(buf, p.dc_transceivers);
-        w_u64(buf, p.fiber_pair_spans);
-        w_u64(buf, p.oss_ports);
-        w_bool(buf, p.feasible);
-    }
-
-    fn write_topology(buf: &mut Vec<u8>, t: &TopologySummary) {
-        w_u64(buf, t.epoch);
-        w_usize(buf, t.dcs);
-        w_usize(buf, t.huts);
-        w_usize(buf, t.ducts);
-        w_vec_usize(buf, &t.active_cuts);
-        w_count(buf, t.allocation.len());
-        for e in &t.allocation {
-            w_usize(buf, e.a);
-            w_usize(buf, e.b);
-            w_u32(buf, e.circuits);
-        }
-        w_vec_usize(buf, &t.quarantined);
-    }
-
-    fn write_path(buf: &mut Vec<u8>, p: &PathInfo) {
-        w_usize(buf, p.a);
-        w_usize(buf, p.b);
-        w_vec_usize(buf, &p.nodes);
-        w_vec_usize(buf, &p.edges);
-        w_f64(buf, p.length_km);
-        w_f64(buf, p.rtt_ms);
-        w_u32(buf, p.circuits);
-        w_u64(buf, p.epoch);
-    }
-
-    fn write_recovery(buf: &mut Vec<u8>, r: &RecoverySummary) {
-        w_vec_usize(buf, &r.cuts);
-        w_bool(buf, r.within_tolerance);
-        w_bool(buf, r.fully_recovered);
-        w_usize(buf, r.shed_pairs);
-        w_f64(buf, r.detection_ms);
-        w_f64(buf, r.replan_ms);
-        w_f64(buf, r.reconfig_ms);
-        w_f64(buf, r.recovery_ms);
-    }
-
-    fn write_peer(buf: &mut Vec<u8>, p: &PeerInfo) {
-        w_u64(buf, p.region);
-        w_str(buf, &p.addr);
-        w_bool(buf, p.connected);
-        w_u64(buf, p.acked_epoch);
-        w_u64(buf, p.lag_epochs);
-        w_f64(buf, p.lag_ms);
-        w_u64(buf, p.reconnects);
-    }
-
-    fn write_health(buf: &mut Vec<u8>, h: &HealthInfo) {
-        w_u64(buf, h.region);
-        w_str(buf, &h.role);
-        w_count(buf, h.peers.len());
-        for p in &h.peers {
-            write_peer(buf, p);
-        }
-        w_u64(buf, h.epoch);
-        w_usize(buf, h.queue_depth);
-        w_u64(buf, h.writes_applied);
-        w_u64(buf, h.coalesced);
-        w_u64(buf, h.overloaded);
-        w_vec_usize(buf, &h.active_cuts);
-        w_usize(buf, h.quarantined);
-        match &h.last_recovery {
-            None => w_bool(buf, false),
-            Some(r) => {
-                w_bool(buf, true);
-                write_recovery(buf, r);
-            }
-        }
-        w_u64(buf, h.uptime_ms);
-        w_u64(buf, h.wal_records);
-        w_u64(buf, h.wal_bytes);
-        w_f64(buf, h.last_fsync_ms);
-    }
-
-    fn write_trace_dump(buf: &mut Vec<u8>, t: &TraceDumpInfo) {
-        w_bool(buf, t.enabled);
-        w_u64(buf, t.dropped);
-        w_count(buf, t.events.len());
-        for e in &t.events {
-            w_u64(buf, e.trace_id);
-            w_u32(buf, e.span_id);
-            w_u32(buf, e.parent_id);
-            w_str(buf, &e.stage);
-            w_u64(buf, e.start_us);
-            w_u64(buf, e.dur_us);
-            w_bool(buf, e.modeled);
-        }
-        w_count(buf, t.slow.len());
-        for s in &t.slow {
-            w_u64(buf, s.trace_id);
-            w_str(buf, &s.op);
-            w_f64(buf, s.total_ms);
-            w_u64(buf, s.at_us);
-        }
-    }
-
-    fn write_error(buf: &mut Vec<u8>, e: &IrisError) {
-        match e {
-            IrisError::PortOutOfRange {
-                device,
-                input,
-                output,
-                ports,
-            } => {
-                w_u8(buf, ERR_PORT_OUT_OF_RANGE);
-                w_str(buf, device);
-                w_usize(buf, *input);
-                w_usize(buf, *output);
-                w_usize(buf, *ports);
-            }
-            IrisError::ChannelOutOfRange {
-                device,
-                channel,
-                count,
-            } => {
-                w_u8(buf, ERR_CHANNEL_OUT_OF_RANGE);
-                w_str(buf, device);
-                w_u32(buf, *channel);
-                w_u32(buf, *count);
-            }
-            IrisError::Unreachable { what } => {
-                w_u8(buf, ERR_UNREACHABLE);
-                w_str(buf, what);
-            }
-            IrisError::Decode { detail } => {
-                w_u8(buf, ERR_DECODE);
-                w_str(buf, detail);
-            }
-            IrisError::VerifyFailed { device, detail } => {
-                w_u8(buf, ERR_VERIFY_FAILED);
-                w_str(buf, device);
-                w_str(buf, detail);
-            }
-            IrisError::RetriesExhausted {
-                phase,
-                attempts,
-                last_error,
-            } => {
-                w_u8(buf, ERR_RETRIES_EXHAUSTED);
-                w_str(buf, phase);
-                w_u32(buf, *attempts);
-                w_str(buf, last_error);
-            }
-            IrisError::Quarantined { device } => {
-                w_u8(buf, ERR_QUARANTINED);
-                w_str(buf, device);
-            }
-            IrisError::Infeasible { detail } => {
-                w_u8(buf, ERR_INFEASIBLE);
-                w_str(buf, detail);
-            }
-            IrisError::Overloaded { retry_after_ms } => {
-                w_u8(buf, ERR_OVERLOADED);
-                w_u64(buf, *retry_after_ms);
-            }
-            IrisError::InvalidInput { detail } => {
-                w_u8(buf, ERR_INVALID_INPUT);
-                w_str(buf, detail);
-            }
-            IrisError::Io { detail } => {
-                w_u8(buf, ERR_IO);
-                w_str(buf, detail);
-            }
-            IrisError::Corrupt { what, detail } => {
-                w_u8(buf, ERR_CORRUPT);
-                w_str(buf, what);
-                w_str(buf, detail);
-            }
-            IrisError::ReplayFailed { detail } => {
-                w_u8(buf, ERR_REPLAY_FAILED);
-                w_str(buf, detail);
-            }
-            IrisError::Timeout { what, after_ms } => {
-                w_u8(buf, ERR_TIMEOUT);
-                w_str(buf, what);
-                w_u64(buf, *after_ms);
-            }
-            IrisError::NotPrimary { region } => {
-                w_u8(buf, ERR_NOT_PRIMARY);
-                w_u64(buf, *region);
-            }
-        }
-    }
-
-    pub(super) fn write_response(buf: &mut Vec<u8>, resp: &Response) {
-        match resp {
-            Response::Plan(p) => {
-                w_u8(buf, RESP_PLAN);
-                write_plan(buf, p);
-            }
-            Response::Topology(t) => {
-                w_u8(buf, RESP_TOPOLOGY);
-                write_topology(buf, t);
-            }
-            Response::Path(p) => {
-                w_u8(buf, RESP_PATH);
-                write_path(buf, p);
-            }
-            Response::DemandAccepted { queue_depth, epoch } => {
-                w_u8(buf, RESP_DEMAND_ACCEPTED);
-                w_usize(buf, *queue_depth);
-                w_u64(buf, *epoch);
-            }
-            Response::Recovery(r) => {
-                w_u8(buf, RESP_RECOVERY);
-                write_recovery(buf, r);
-            }
-            Response::CutAlreadyActive { active_cuts } => {
-                w_u8(buf, RESP_CUT_ALREADY_ACTIVE);
-                w_vec_usize(buf, active_cuts);
-            }
-            Response::Health(h) => {
-                w_u8(buf, RESP_HEALTH);
-                write_health(buf, h);
-            }
-            Response::Metrics { prometheus } => {
-                w_u8(buf, RESP_METRICS);
-                w_str(buf, prometheus);
-            }
-            Response::Trace(t) => {
-                w_u8(buf, RESP_TRACE);
-                write_trace_dump(buf, t);
-            }
-            Response::HelloAck { codec } => {
-                w_u8(buf, RESP_HELLO_ACK);
-                w_str(buf, codec);
-            }
-            Response::ReplicateAck { epoch, state_crc } => {
-                w_u8(buf, RESP_REPLICATE_ACK);
-                w_u64(buf, *epoch);
-                w_u32(buf, *state_crc);
-            }
-            Response::Error(e) => {
-                w_u8(buf, RESP_ERROR);
-                write_error(buf, e);
-            }
-        }
-    }
-
-    pub(super) fn read_request(rd: &mut Reader<'_>) -> IrisResult<Request> {
-        match rd.u8("request tag")? {
-            REQ_GET_PLAN => Ok(Request::GetPlan),
-            REQ_GET_TOPOLOGY => Ok(Request::GetTopology),
-            REQ_QUERY_PATH => Ok(Request::QueryPath {
-                a: rd.usize_("query_path.a")?,
-                b: rd.usize_("query_path.b")?,
-            }),
-            REQ_UPDATE_DEMAND => Ok(Request::UpdateDemand {
-                a: rd.usize_("update_demand.a")?,
-                b: rd.usize_("update_demand.b")?,
-                circuits: rd.u32("update_demand.circuits")?,
-            }),
-            REQ_REPORT_FIBER_CUT => Ok(Request::ReportFiberCut {
-                cuts: rd.vec_usize("report_fiber_cut.cuts")?,
-            }),
-            REQ_HEALTH => Ok(Request::Health),
-            REQ_METRICS_SNAPSHOT => Ok(Request::MetricsSnapshot),
-            REQ_TRACE_DUMP => Ok(Request::TraceDump {
-                max_events: rd.u64("trace_dump.max_events")?,
-            }),
-            REQ_HELLO => Ok(Request::Hello {
-                codec: rd.string("hello.codec")?,
-            }),
-            REQ_GET_PLAN_AT => Ok(Request::GetPlanAt {
-                min_epoch: rd.u64("get_plan_at.min_epoch")?,
-                wait_ms: rd.u64("get_plan_at.wait_ms")?,
-            }),
-            REQ_REPLICATE => Ok(Request::Replicate {
-                source_region: rd.u64("replicate.source_region")?,
-                batch: rd.string("replicate.batch")?,
-            }),
-            REQ_SYNC_STATE => Ok(Request::SyncState {
-                source_region: rd.u64("sync_state.source_region")?,
-                state: rd.string("sync_state.state")?,
-            }),
-            REQ_PROMOTE => Ok(Request::Promote),
-            other => Err(decode_err(format!("unknown binary request tag {other}"))),
-        }
-    }
-
-    fn read_plan(rd: &mut Reader<'_>) -> IrisResult<PlanSummary> {
-        Ok(PlanSummary {
-            epoch: rd.u64("plan.epoch")?,
-            dcs: rd.usize_("plan.dcs")?,
-            ducts: rd.usize_("plan.ducts")?,
-            used_ducts: rd.usize_("plan.used_ducts")?,
-            cut_tolerance: rd.usize_("plan.cut_tolerance")?,
-            scenarios_examined: rd.u64("plan.scenarios_examined")?,
-            dc_transceivers: rd.u64("plan.dc_transceivers")?,
-            fiber_pair_spans: rd.u64("plan.fiber_pair_spans")?,
-            oss_ports: rd.u64("plan.oss_ports")?,
-            feasible: rd.bool("plan.feasible")?,
-        })
-    }
-
-    fn read_topology(rd: &mut Reader<'_>) -> IrisResult<TopologySummary> {
-        let epoch = rd.u64("topology.epoch")?;
-        let dcs = rd.usize_("topology.dcs")?;
-        let huts = rd.usize_("topology.huts")?;
-        let ducts = rd.usize_("topology.ducts")?;
-        let active_cuts = rd.vec_usize("topology.active_cuts")?;
-        let n = rd.count(MIN_ALLOC_ENTRY, "topology.allocation")?;
-        let mut allocation = Vec::with_capacity(n);
-        for _ in 0..n {
-            allocation.push(AllocEntry {
-                a: rd.usize_("allocation.a")?,
-                b: rd.usize_("allocation.b")?,
-                circuits: rd.u32("allocation.circuits")?,
-            });
-        }
-        Ok(TopologySummary {
-            epoch,
-            dcs,
-            huts,
-            ducts,
-            active_cuts,
-            allocation,
-            quarantined: rd.vec_usize("topology.quarantined")?,
-        })
-    }
-
-    fn read_path(rd: &mut Reader<'_>) -> IrisResult<PathInfo> {
-        Ok(PathInfo {
-            a: rd.usize_("path.a")?,
-            b: rd.usize_("path.b")?,
-            nodes: rd.vec_usize("path.nodes")?,
-            edges: rd.vec_usize("path.edges")?,
-            length_km: rd.f64("path.length_km")?,
-            rtt_ms: rd.f64("path.rtt_ms")?,
-            circuits: rd.u32("path.circuits")?,
-            epoch: rd.u64("path.epoch")?,
-        })
-    }
-
-    fn read_recovery(rd: &mut Reader<'_>) -> IrisResult<RecoverySummary> {
-        Ok(RecoverySummary {
-            cuts: rd.vec_usize("recovery.cuts")?,
-            within_tolerance: rd.bool("recovery.within_tolerance")?,
-            fully_recovered: rd.bool("recovery.fully_recovered")?,
-            shed_pairs: rd.usize_("recovery.shed_pairs")?,
-            detection_ms: rd.f64("recovery.detection_ms")?,
-            replan_ms: rd.f64("recovery.replan_ms")?,
-            reconfig_ms: rd.f64("recovery.reconfig_ms")?,
-            recovery_ms: rd.f64("recovery.recovery_ms")?,
-        })
-    }
-
-    fn read_peer(rd: &mut Reader<'_>) -> IrisResult<PeerInfo> {
-        Ok(PeerInfo {
-            region: rd.u64("peer.region")?,
-            addr: rd.string("peer.addr")?,
-            connected: rd.bool("peer.connected")?,
-            acked_epoch: rd.u64("peer.acked_epoch")?,
-            lag_epochs: rd.u64("peer.lag_epochs")?,
-            lag_ms: rd.f64("peer.lag_ms")?,
-            reconnects: rd.u64("peer.reconnects")?,
-        })
-    }
-
-    fn read_health(rd: &mut Reader<'_>) -> IrisResult<HealthInfo> {
-        let region = rd.u64("health.region")?;
-        let role = rd.string("health.role")?;
-        let n = rd.count(MIN_PEER_INFO, "health.peers")?;
-        let mut peers = Vec::with_capacity(n);
-        for _ in 0..n {
-            peers.push(read_peer(rd)?);
-        }
-        Ok(HealthInfo {
-            region,
-            role,
-            peers,
-            epoch: rd.u64("health.epoch")?,
-            queue_depth: rd.usize_("health.queue_depth")?,
-            writes_applied: rd.u64("health.writes_applied")?,
-            coalesced: rd.u64("health.coalesced")?,
-            overloaded: rd.u64("health.overloaded")?,
-            active_cuts: rd.vec_usize("health.active_cuts")?,
-            quarantined: rd.usize_("health.quarantined")?,
-            last_recovery: if rd.bool("health.last_recovery")? {
-                Some(read_recovery(rd)?)
-            } else {
-                None
-            },
-            uptime_ms: rd.u64("health.uptime_ms")?,
-            wal_records: rd.u64("health.wal_records")?,
-            wal_bytes: rd.u64("health.wal_bytes")?,
-            last_fsync_ms: rd.f64("health.last_fsync_ms")?,
-        })
-    }
-
-    fn read_trace_dump(rd: &mut Reader<'_>) -> IrisResult<TraceDumpInfo> {
-        let enabled = rd.bool("trace.enabled")?;
-        let dropped = rd.u64("trace.dropped")?;
-        let n = rd.count(MIN_TRACE_EVENT, "trace.events")?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(TraceEventInfo {
-                trace_id: rd.u64("event.trace_id")?,
-                span_id: rd.u32("event.span_id")?,
-                parent_id: rd.u32("event.parent_id")?,
-                stage: rd.string("event.stage")?,
-                start_us: rd.u64("event.start_us")?,
-                dur_us: rd.u64("event.dur_us")?,
-                modeled: rd.bool("event.modeled")?,
-            });
-        }
-        let n = rd.count(MIN_SLOW_REQUEST, "trace.slow")?;
-        let mut slow = Vec::with_capacity(n);
-        for _ in 0..n {
-            slow.push(SlowRequestInfo {
-                trace_id: rd.u64("slow.trace_id")?,
-                op: rd.string("slow.op")?,
-                total_ms: rd.f64("slow.total_ms")?,
-                at_us: rd.u64("slow.at_us")?,
-            });
-        }
-        Ok(TraceDumpInfo {
-            enabled,
-            dropped,
-            events,
-            slow,
-        })
-    }
-
-    fn read_error(rd: &mut Reader<'_>) -> IrisResult<IrisError> {
-        match rd.u8("error tag")? {
-            ERR_PORT_OUT_OF_RANGE => Ok(IrisError::PortOutOfRange {
-                device: rd.string("error.device")?,
-                input: rd.usize_("error.input")?,
-                output: rd.usize_("error.output")?,
-                ports: rd.usize_("error.ports")?,
-            }),
-            ERR_CHANNEL_OUT_OF_RANGE => Ok(IrisError::ChannelOutOfRange {
-                device: rd.string("error.device")?,
-                channel: rd.u32("error.channel")?,
-                count: rd.u32("error.count")?,
-            }),
-            ERR_UNREACHABLE => Ok(IrisError::Unreachable {
-                what: rd.string("error.what")?,
-            }),
-            ERR_DECODE => Ok(IrisError::Decode {
-                detail: rd.string("error.detail")?,
-            }),
-            ERR_VERIFY_FAILED => Ok(IrisError::VerifyFailed {
-                device: rd.string("error.device")?,
-                detail: rd.string("error.detail")?,
-            }),
-            ERR_RETRIES_EXHAUSTED => Ok(IrisError::RetriesExhausted {
-                phase: rd.string("error.phase")?,
-                attempts: rd.u32("error.attempts")?,
-                last_error: rd.string("error.last_error")?,
-            }),
-            ERR_QUARANTINED => Ok(IrisError::Quarantined {
-                device: rd.string("error.device")?,
-            }),
-            ERR_INFEASIBLE => Ok(IrisError::Infeasible {
-                detail: rd.string("error.detail")?,
-            }),
-            ERR_OVERLOADED => Ok(IrisError::Overloaded {
-                retry_after_ms: rd.u64("error.retry_after_ms")?,
-            }),
-            ERR_INVALID_INPUT => Ok(IrisError::InvalidInput {
-                detail: rd.string("error.detail")?,
-            }),
-            ERR_IO => Ok(IrisError::Io {
-                detail: rd.string("error.detail")?,
-            }),
-            ERR_CORRUPT => Ok(IrisError::Corrupt {
-                what: rd.string("error.what")?,
-                detail: rd.string("error.detail")?,
-            }),
-            ERR_REPLAY_FAILED => Ok(IrisError::ReplayFailed {
-                detail: rd.string("error.detail")?,
-            }),
-            ERR_TIMEOUT => Ok(IrisError::Timeout {
-                what: rd.string("error.what")?,
-                after_ms: rd.u64("error.after_ms")?,
-            }),
-            ERR_NOT_PRIMARY => Ok(IrisError::NotPrimary {
-                region: rd.u64("error.region")?,
-            }),
-            other => Err(decode_err(format!("unknown binary error tag {other}"))),
-        }
-    }
-
-    pub(super) fn read_response(rd: &mut Reader<'_>) -> IrisResult<Response> {
-        match rd.u8("response tag")? {
-            RESP_PLAN => Ok(Response::Plan(read_plan(rd)?)),
-            RESP_TOPOLOGY => Ok(Response::Topology(read_topology(rd)?)),
-            RESP_PATH => Ok(Response::Path(read_path(rd)?)),
-            RESP_DEMAND_ACCEPTED => Ok(Response::DemandAccepted {
-                queue_depth: rd.usize_("demand_accepted.queue_depth")?,
-                epoch: rd.u64("demand_accepted.epoch")?,
-            }),
-            RESP_RECOVERY => Ok(Response::Recovery(read_recovery(rd)?)),
-            RESP_CUT_ALREADY_ACTIVE => Ok(Response::CutAlreadyActive {
-                active_cuts: rd.vec_usize("cut_already_active.active_cuts")?,
-            }),
-            RESP_HEALTH => Ok(Response::Health(read_health(rd)?)),
-            RESP_METRICS => Ok(Response::Metrics {
-                prometheus: rd.string("metrics.prometheus")?,
-            }),
-            RESP_TRACE => Ok(Response::Trace(read_trace_dump(rd)?)),
-            RESP_HELLO_ACK => Ok(Response::HelloAck {
-                codec: rd.string("hello_ack.codec")?,
-            }),
-            RESP_REPLICATE_ACK => Ok(Response::ReplicateAck {
-                epoch: rd.u64("replicate_ack.epoch")?,
-                state_crc: rd.u32("replicate_ack.state_crc")?,
-            }),
-            RESP_ERROR => Ok(Response::Error(read_error(rd)?)),
-            other => Err(decode_err(format!("unknown binary response tag {other}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iris_errors::IrisError;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -1020,6 +396,192 @@ mod tests {
         ]
     }
 
+    // Golden bytes: the binary encoding of every fixture, pinned so a
+    // refactor of the encoder cannot silently change the wire format.
+    const GOLDEN_REQUESTS: [&str; 14] = [
+        "00",
+        "01",
+        "0200000000000000000300000000000000",
+        "030100000000000000020000000000000004000000",
+        "040200000005000000000000000900000000000000",
+        "0400000000",
+        "05",
+        "06",
+        "07f401000000000000",
+        "080600000062696e617279",
+        "090800000000000000fa00000000000000",
+        concat!(
+            "0a0100000000000000180000007b2265706f6368223a392c2275706461746573",
+            "223a5b5d7d",
+        ),
+        "0b01000000000000000b0000007b2265706f6368223a397d",
+        "0c",
+    ];
+    const GOLDEN_RESPONSES: [&str; 13] = [
+        concat!(
+            "0003000000000000000a00000000000000280000000000000016000000000000",
+            "0002000000000000000c03000000000000881300000000000084030000000000",
+            "00b00400000000000001",
+        ),
+        concat!(
+            "0104000000000000000300000000000000050000000000000009000000000000",
+            "0002000000010000000000000007000000000000000200000000000000000000",
+            "0001000000000000000300000000000000000000000200000000000000010000",
+            "00010000000200000000000000",
+        ),
+        concat!(
+            "0200000000000000000200000000000000030000000000000000000000040000",
+            "0000000000020000000000000002000000030000000000000008000000000000",
+            "000000000000a044403bdf4f8d976eda3f020000000400000000000000",
+        ),
+        "0311000000000000000500000000000000",
+        "0b050000000000000078563412",
+        concat!(
+            "0401000000040000000000000001010000000000000000000000000000244000",
+            "000000000014400000000000004a400000000000c05040",
+        ),
+        "050200000002000000000000000400000000000000",
+        concat!(
+            "06020000000000000008000000666f6c6c6f7765720200000000000000000000",
+            "000e0000003132372e302e302e313a3430343001070000000000000000000000",
+            "000000000000000000000000010000000000000003000000000000000e000000",
+            "3132372e302e302e313a34303432000400000000000000030000000000000000",
+            "000000000022400000000000000000070000000000000000000000000000000c",
+            "0000000000000003000000000000000100000000000000010000000400000000",
+            "0000000000000000000000010100000004000000000000000101000000000000",
+            "0000000000000000244000000000000014400000000000004a400000000000c0",
+            "5040683c0100000000002a000000000000001934000000000000e17a14ae47e1",
+            "da3f",
+        ),
+        "0715000000232054595045207820636f756e7465720a7820310a",
+        concat!(
+            "0801030000000000000001000000ab0000000000000002000000010000000900",
+            "000077616c5f6673796e63e803000000000000a4010000000000000001000000",
+            "ab00000000000000100000007265706f72745f66696265725f63757400000000",
+            "00c04e40d007000000000000",
+        ),
+        "090600000062696e617279",
+        "0a081900000000000000",
+        concat!(
+            "0a021e00000044432030202d3e20444320322061667465722063757473205b31",
+            "2c20375d",
+        ),
+    ];
+    const GOLDEN_ERRORS: [&str; 15] = [
+        concat!(
+            "0a00080000004f53534048555433090000000000000001000000000000000400",
+            "000000000000",
+        ),
+        "0a010200000054582900000028000000",
+        "0a020100000078",
+        "0a030100000078",
+        "0a04030000004f53530100000079",
+        "0a05070000006163747561746503000000010000007a",
+        "0a06030000004f5353",
+        "0a070100000078",
+        "0a080a00000000000000",
+        "0a090100000078",
+        "0a0a0100000078",
+        "0a0b08000000697269732e77616c03000000637263",
+        "0a0c0100000078",
+        "0a0d0500000070726f6265fa00000000000000",
+        "0a0e0200000000000000",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit"))
+            .collect()
+    }
+
+    /// Apply seeded one-byte edits to `bytes`: overwrite (kind 0),
+    /// truncate (1) or insert (2) at a position taken modulo the length.
+    fn mutate(bytes: &[u8], edits: &[(u8, usize, u8)]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for &(kind, pos, byte) in edits {
+            let at = pos % (out.len() + 1);
+            match kind {
+                0 if at < out.len() => out[at] = byte,
+                1 => out.truncate(at),
+                _ => out.insert(at, byte),
+            }
+        }
+        out
+    }
+
+    proptest! {
+        // Every decoder of untrusted bytes returns a value or a typed
+        // decode error, never a panic; and the binary codec is strict, so
+        // whatever it accepts re-encodes to exactly the input.
+        #[test]
+        fn fuzzed_payloads_decode_or_fail_typed(
+            edits in vec((0u8..3, any::<usize>(), any::<u8>()), 1..4),
+            noise in vec(any::<u8>(), 0..257),
+        ) {
+            let goldens = GOLDEN_REQUESTS.iter().chain(&GOLDEN_RESPONSES).chain(&GOLDEN_ERRORS);
+            let json = sample_requests()
+                .iter()
+                .map(|r| encode_request(Codec::Json, r).unwrap())
+                .collect::<Vec<_>>();
+            let seeds = goldens.map(|g| unhex(g)).chain(json);
+            for input in seeds.map(|s| mutate(&s, &edits)).chain([noise]) {
+                match decode_request(Codec::Binary, &input) {
+                    Ok(req) => prop_assert_eq!(encode_request(Codec::Binary, &req).unwrap(), input.clone()),
+                    Err(e) => prop_assert_eq!(e.code(), "decode"),
+                }
+                match decode_response(Codec::Binary, &input) {
+                    Ok(resp) => prop_assert_eq!(encode_response(Codec::Binary, &resp).unwrap(), input.clone()),
+                    Err(e) => prop_assert_eq!(e.code(), "decode"),
+                }
+                if let Err(e) = decode_request(Codec::Json, &input) {
+                    prop_assert_eq!(e.code(), "decode");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn binary_requests_match_golden_bytes() {
+        let reqs = sample_requests();
+        assert_eq!(reqs.len(), GOLDEN_REQUESTS.len());
+        for (req, golden) in reqs.iter().zip(GOLDEN_REQUESTS) {
+            assert_eq!(hex(&encode_request(Codec::Binary, req).unwrap()), golden);
+            assert_eq!(&decode_request(Codec::Binary, &unhex(golden)).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn binary_responses_match_golden_bytes() {
+        let resps = sample_responses();
+        assert_eq!(resps.len(), GOLDEN_RESPONSES.len());
+        for (resp, golden) in resps.iter().zip(GOLDEN_RESPONSES) {
+            assert_eq!(hex(&encode_response(Codec::Binary, resp).unwrap()), golden);
+            assert_eq!(
+                &decode_response(Codec::Binary, &unhex(golden)).unwrap(),
+                resp
+            );
+        }
+    }
+
+    #[test]
+    fn binary_errors_match_golden_bytes() {
+        let errors = all_errors();
+        assert_eq!(errors.len(), GOLDEN_ERRORS.len());
+        for (e, golden) in errors.into_iter().zip(GOLDEN_ERRORS) {
+            let resp = Response::Error(e);
+            assert_eq!(hex(&encode_response(Codec::Binary, &resp).unwrap()), golden);
+            assert_eq!(
+                decode_response(Codec::Binary, &unhex(golden)).unwrap(),
+                resp
+            );
+        }
+    }
+
     #[test]
     fn binary_requests_round_trip() {
         for req in &sample_requests() {
@@ -1138,15 +700,6 @@ mod tests {
             assert!(response_payload_is_error(codec, &e), "{codec:?}");
             assert!(!response_payload_is_error(codec, &o), "{codec:?}");
         }
-    }
-
-    #[test]
-    fn codec_names_round_trip() {
-        for codec in [Codec::Json, Codec::Binary] {
-            assert_eq!(Codec::from_name(codec.name()), Some(codec));
-        }
-        assert_eq!(Codec::from_name("msgpack"), None);
-        assert_eq!(Codec::default(), Codec::Json);
     }
 
     #[test]

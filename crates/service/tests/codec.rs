@@ -8,7 +8,7 @@ use iris_errors::IrisError;
 use iris_fibermap::{synth, MetroParams, PlacementParams, Region};
 use iris_service::api::{Request, Response, TraceDumpInfo};
 use iris_service::codec::{decode_request, decode_response, encode_request, encode_response};
-use iris_service::frame::{read_frame, FrameEvent, MAX_FRAME_LEN};
+use iris_service::frame::{read_frame, write_frame, FrameEvent, MAX_FRAME_LEN};
 use iris_service::{serve, Codec, ServiceClient, ServiceConfig, ServiceHandle};
 use proptest::prelude::*;
 use std::io::Write as _;
@@ -219,6 +219,29 @@ fn truncated_frames_get_no_reply() {
             .expect("post-truncation read"),
         Response::Plan(_)
     ));
+    handle.shutdown();
+}
+
+#[test]
+fn deeply_nested_json_is_a_decode_error_and_the_connection_survives() {
+    let mut handle = boot(47);
+    let mut raw = TcpStream::connect(handle.local_addr().to_string()).expect("raw connect");
+    let mut call = |payload: &[u8]| {
+        write_frame(&mut raw, payload).expect("write frame");
+        match read_frame(&mut raw).expect("reply") {
+            FrameEvent::Frame(bytes) => decode_response(Codec::Json, &bytes).expect("json reply"),
+            other => panic!("expected a reply frame, got {other:?}"),
+        }
+    };
+    // One frame of nothing but `[` on the default JSON codec: a parser
+    // that recursed once per level would overflow the event loop's
+    // stack and abort the whole server.
+    match call(&[b'['; 100_000]) {
+        Response::Error(e) => assert_eq!(e.code(), "decode", "{e}"),
+        other => panic!("expected a decode error, got {other:?}"),
+    }
+    let health = encode_request(Codec::Json, &Request::Health).expect("encode");
+    assert!(matches!(call(&health), Response::Health(_)));
     handle.shutdown();
 }
 

@@ -4,10 +4,11 @@
 //! generator, and the flow-simulation worker fleet all speak the same
 //! wire discipline: length-prefixed frames ([`frame`]) whose payloads
 //! are encoded in one of two negotiated codecs ([`Codec`]) — JSON for
-//! debuggability, or a compact tag-prefixed binary format built from
-//! the primitives in [`bin`]. This crate holds exactly the pieces that
-//! are protocol- but not API-specific; each peer defines its own
-//! request/response enums on top.
+//! debuggability, or the compact tag-prefixed binary encoding of
+//! [`bin`]. This crate holds exactly the pieces that are protocol- but
+//! not API-specific; each peer defines its own request/response enums
+//! on top, and lists their binary layout with [`bin_struct!`] and
+//! [`bin_enum!`].
 //!
 //! [`iris-service`]: ../iris_service/index.html
 
@@ -24,9 +25,8 @@ pub enum Codec {
     /// connection.
     #[default]
     Json,
-    /// A compact little-endian binary encoding built from the
-    /// primitives in [`bin`]; see the using crate's codec module for
-    /// the concrete message layout.
+    /// The compact little-endian binary encoding of [`bin`]; see the
+    /// using crate's codec module for the concrete message layout.
     Binary,
 }
 

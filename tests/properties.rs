@@ -310,8 +310,8 @@ proptest! {
     ) {
         use iris_control::messages::Command;
         let cmd = Command::SetCross { switch, input, output };
-        let mut buf = cmd.encode();
-        let decoded = Command::decode(&mut buf).unwrap().unwrap();
+        let frame = cmd.encode();
+        let decoded = Command::decode(&mut frame.as_slice()).unwrap().unwrap();
         prop_assert_eq!(decoded, cmd);
     }
 }
