@@ -17,6 +17,7 @@
 //! decomposition, so clustered runs keep the byte-identical artifact
 //! contract.
 
+use crate::coord::par_map;
 use crate::decompose::Decomposition;
 use crate::link::INCOMPLETE;
 use iris_simnet::SimTopology;
@@ -42,7 +43,7 @@ pub fn link_features(topo: &SimTopology, dec: &Decomposition, link: usize) -> Li
         .iter()
         .map(|&id| dec.flows[id as usize].size_bytes)
         .collect();
-    sizes.sort_by(|a, b| a.partial_cmp(b).expect("finite sizes"));
+    sizes.sort_unstable_by(f64::total_cmp);
     let total_bits: f64 = sizes.iter().map(|s| s * 8.0).sum();
     let cap_bits = topo.links[link].capacity_gbps * 1e9 * dec.duration_s;
     let mut size_deciles = [0.0f64; 9];
@@ -91,7 +92,8 @@ pub struct Cluster {
 /// Greedily cluster `links` (ascending link ids — the deterministic
 /// iteration order). A link joins the first existing cluster whose rep
 /// is within `epsilon` feature distance and has an identical
-/// capacity-scale timeline; otherwise it founds a new cluster.
+/// capacity-scale timeline; otherwise it founds a new cluster. Features
+/// are extracted on the in-process pool; the assignment is sequential.
 #[must_use]
 pub fn cluster_links(
     topo: &SimTopology,
@@ -99,9 +101,9 @@ pub fn cluster_links(
     links: &[usize],
     epsilon: f64,
 ) -> Vec<Cluster> {
+    let features = par_map(links.len(), |i| link_features(topo, dec, links[i]));
     let mut clusters: Vec<(Cluster, LinkFeatures)> = Vec::new();
-    for &l in links {
-        let feat = link_features(topo, dec, l);
+    for (&l, feat) in links.iter().zip(features) {
         let found = clusters.iter_mut().find(|(c, rep_feat)| {
             dec.segments[c.rep] == dec.segments[l] && feature_distance(rep_feat, &feat) <= epsilon
         });
@@ -154,7 +156,9 @@ impl SlowdownTable {
                 (f.size_bytes, slowdown)
             })
             .collect();
-        entries.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        // Sizes are positive and slowdowns -1 or >= 1, so `total_cmp`
+        // orders exactly as `partial_cmp` would.
+        entries.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
         Self { entries }
     }
 
@@ -163,13 +167,15 @@ impl SlowdownTable {
     /// or the nearest rep flow was incomplete.
     #[must_use]
     pub fn slowdown(&self, size_bytes: f64) -> Option<f64> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let idx = self
-            .entries
-            .partition_point(|&(s, _)| s < size_bytes)
-            .min(self.entries.len() - 1);
+        let first_not_below = self.entries.partition_point(|&(s, _)| s < size_bytes);
+        self.nearest(first_not_below, size_bytes)
+    }
+
+    /// The nearest-size rule behind [`Self::slowdown`], given the index of
+    /// the first entry whose size is not below `size_bytes`.
+    fn nearest(&self, first_not_below: usize, size_bytes: f64) -> Option<f64> {
+        let last = self.entries.len().checked_sub(1)?;
+        let idx = first_not_below.min(last);
         let best = if idx > 0
             && (size_bytes - self.entries[idx - 1].0).abs()
                 <= (self.entries[idx].0 - size_bytes).abs()
@@ -188,6 +194,10 @@ impl SlowdownTable {
 /// *member's* capacity. Output aligns with `dec.link_flows[member]`;
 /// flows whose nearest rep flow was incomplete — or that would finish
 /// past the duration — come back [`INCOMPLETE`].
+///
+/// The member's flows are sorted by size once and matched against the
+/// table in one merge walk, the same lookup as [`SlowdownTable::slowdown`]
+/// without a binary search per flow.
 #[must_use]
 pub fn estimate_member(
     topo: &SimTopology,
@@ -195,24 +205,38 @@ pub fn estimate_member(
     member: usize,
     table: &SlowdownTable,
 ) -> Vec<f64> {
+    let ids = &dec.link_flows[member];
     let cap_bps = topo.links[member].capacity_gbps * 1e9;
-    dec.link_flows[member]
+    let mut out = vec![INCOMPLETE; ids.len()];
+    // Positive f64 sizes order as their bit patterns.
+    let mut by_size: Vec<(u64, u32)> = ids
         .iter()
-        .map(|&id| {
+        .enumerate()
+        .map(|(k, &id)| (dec.flows[id as usize].size_bytes.to_bits(), k as u32))
+        .collect();
+    by_size.sort_unstable();
+    // First pass: each flow's slowdown, parked in its output slot.
+    let mut cursor = 0;
+    for (bits, k) in by_size {
+        let size = f64::from_bits(bits);
+        while cursor < table.entries.len() && table.entries[cursor].0 < size {
+            cursor += 1;
+        }
+        out[k as usize] = table.nearest(cursor, size).unwrap_or(INCOMPLETE);
+    }
+    // Second pass, in flow order: slowdown -> finish time.
+    for (slot, &id) in out.iter_mut().zip(ids) {
+        if *slot != INCOMPLETE {
             let f = &dec.flows[id as usize];
-            match table.slowdown(f.size_bytes) {
-                Some(sd) if cap_bps > 0.0 => {
-                    let fin = f.start_s + sd * (f.size_bytes * 8.0) / cap_bps;
-                    if fin < dec.duration_s {
-                        fin
-                    } else {
-                        INCOMPLETE
-                    }
-                }
-                _ => INCOMPLETE,
-            }
-        })
-        .collect()
+            let fin = f.start_s + *slot * (f.size_bytes * 8.0) / cap_bps;
+            *slot = if cap_bps > 0.0 && fin < dec.duration_s {
+                fin
+            } else {
+                INCOMPLETE
+            };
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -287,6 +311,124 @@ mod tests {
                 assert!(sd >= 1.0, "slowdown {sd} for size {size}");
             }
         }
+    }
+
+    /// Per-flow reference for [`estimate_member`]: one
+    /// [`SlowdownTable::slowdown`] lookup per flow.
+    fn member_reference(
+        topo: &SimTopology,
+        dec: &Decomposition,
+        member: usize,
+        table: &SlowdownTable,
+    ) -> Vec<f64> {
+        let cap_bps = topo.links[member].capacity_gbps * 1e9;
+        dec.link_flows[member]
+            .iter()
+            .map(|&id| {
+                let f = &dec.flows[id as usize];
+                match table.slowdown(f.size_bytes) {
+                    Some(sd) if cap_bps > 0.0 => {
+                        let fin = f.start_s + sd * (f.size_bytes * 8.0) / cap_bps;
+                        if fin < dec.duration_s {
+                            fin
+                        } else {
+                            INCOMPLETE
+                        }
+                    }
+                    _ => INCOMPLETE,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_walk_matches_per_flow_lookup() {
+        use crate::decompose::DecFlow;
+        use iris_simnet::topology::Link;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Link 0 is the rep, links 1 and 2 carry the member flows (link 2
+        // at zero capacity), link 3 is an empty rep.
+        let topo = SimTopology {
+            n_dcs: 2,
+            links: [1.0, 0.5, 0.0, 1.0]
+                .map(|capacity_gbps| Link { capacity_gbps })
+                .to_vec(),
+            routes: vec![vec![0]],
+            route_rtt_s: vec![0.0],
+        };
+        let mut finished = 0;
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // A small size pool, so rep sizes repeat with different
+            // slowdowns.
+            let pool: Vec<f64> = (0..rng.random_range(1usize..12))
+                .map(|_| rng.random_range(1u64..200_000) as f64)
+                .collect();
+            let flow = |size_bytes: f64, start_s: f64| DecFlow {
+                pair: (0, 1),
+                start_s,
+                size_bytes,
+            };
+            let mut flows: Vec<DecFlow> = Vec::new();
+            let mut rep_finishes = Vec::new();
+            for _ in 0..rng.random_range(1usize..40) {
+                let size = pool[rng.random_range(0..pool.len())];
+                let start = rng.random_range(0.0..1.0);
+                rep_finishes.push(if rng.random_range(0.0..1.0) < 0.2 {
+                    INCOMPLETE
+                } else {
+                    // Some below the ideal, so the slowdown clamps to 1.
+                    start + size * 8.0 / 1e9 * rng.random_range(0.5..5.0)
+                });
+                flows.push(flow(size, start));
+            }
+            let reps = flows.len();
+            // Member queries: every table size, the midpoint of every two
+            // (an exact tie), random sizes between, below and above.
+            let (lo, hi) = pool
+                .iter()
+                .fold((f64::MAX, 0.0f64), |(l, h), &s| (l.min(s), h.max(s)));
+            let mut queries: Vec<f64> = pool.clone();
+            for a in &pool {
+                for b in &pool {
+                    queries.push((a + b) / 2.0);
+                }
+            }
+            for _ in 0..20 {
+                queries.push(rng.random_range(lo..=hi));
+            }
+            queries.extend([lo / 2.0, 0.5, hi * 2.0, hi + 1.0]);
+            for size in queries {
+                flows.push(flow(size, rng.random_range(0.0..1.0)));
+            }
+            let members: Vec<u32> = (reps as u32..flows.len() as u32).collect();
+            let dec = Decomposition {
+                flows,
+                link_flows: vec![
+                    (0..reps as u32).collect(),
+                    members.clone(),
+                    members,
+                    Vec::new(),
+                ],
+                segments: vec![Vec::new(); 4],
+                duration_s: 1.002,
+            };
+            let table = SlowdownTable::build(&topo, &dec, 0, &rep_finishes);
+            let empty = SlowdownTable::build(&topo, &dec, 3, &[]);
+            for (member, table) in [(1, &table), (2, &table), (1, &empty)] {
+                let got = estimate_member(&topo, &dec, member, table);
+                let want = member_reference(&topo, &dec, member, table);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                assert_eq!(bits(&got), bits(&want), "seed {seed}, member {member}");
+                finished += got.iter().filter(|&&fin| fin != INCOMPLETE).count();
+            }
+        }
+        assert!(
+            finished > 0,
+            "no member flow finished: the oracle checked nothing"
+        );
     }
 
     #[test]

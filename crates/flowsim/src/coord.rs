@@ -21,6 +21,13 @@
 //! combination is a commutative `max` — worker count, thread count,
 //! scheduling, and chunk arrival order cannot change a byte of the
 //! output.
+//!
+//! The coordinator's own stages share the in-process pool
+//! (`par_map`) whatever the backend: per-link feature extraction for
+//! clustering, one slowdown table per cluster with members, one
+//! estimate per member link, and [`combine`]'s fold over blocks of flow
+//! ids. Trace generation, the decomposition and the greedy cluster
+//! assignment run on the calling thread.
 
 use crate::cluster::{cluster_links, estimate_member, SlowdownTable};
 use crate::decompose::{combine, Decomposition};
@@ -34,6 +41,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Where link-simulation jobs run.
@@ -122,15 +130,15 @@ pub struct EstimateReport {
 }
 
 /// Estimate FCTs for `spec`: generate the trace, decompose, cluster,
-/// simulate, combine.
+/// simulate, combine. The trace is freed once decomposed.
 ///
 /// # Errors
 ///
 /// Fails only on fleet-backend transport exhaustion; the in-process
 /// backend is infallible.
 pub fn estimate(spec: &WorkSpec, cfg: &EstimateConfig) -> IrisResult<EstimateReport> {
-    let trace = spec.trace();
-    estimate_with_trace(spec, &trace, cfg)
+    let dec = Decomposition::build(&spec.topo, &spec.trace());
+    estimate_decomposed(spec, dec, cfg)
 }
 
 /// [`estimate`] for callers that already materialized the trace (e.g.
@@ -144,8 +152,16 @@ pub fn estimate_with_trace(
     trace: &FlowTrace,
     cfg: &EstimateConfig,
 ) -> IrisResult<EstimateReport> {
+    estimate_decomposed(spec, Decomposition::build(&spec.topo, trace), cfg)
+}
+
+/// Cluster, simulate and combine an already-built decomposition.
+fn estimate_decomposed(
+    spec: &WorkSpec,
+    dec: Decomposition,
+    cfg: &EstimateConfig,
+) -> IrisResult<EstimateReport> {
     let telemetry = iris_telemetry::global();
-    let dec = Decomposition::build(&spec.topo, trace);
     let occupied = dec.occupied_links();
     let clusters = if cfg.cluster {
         cluster_links(&spec.topo, &dec, &occupied, cfg.epsilon)
@@ -160,28 +176,42 @@ pub fn estimate_with_trace(
     };
     let reps: Vec<usize> = clusters.iter().map(|c| c.rep).collect();
     let rep_finishes: Vec<Vec<f64>> = match &cfg.backend {
-        Backend::InProcess => run_in_process(spec, &dec, &reps),
+        Backend::InProcess => par_map(reps.len(), |i| dec.simulate(&spec.topo, reps[i])),
         Backend::Fleet(fleet) => run_fleet(spec, &dec, &reps, fleet)?,
     };
     telemetry
         .counter("iris_flowsim_links_simulated_total")
         .add(reps.len() as u64);
 
-    let mut results: Vec<(usize, Vec<f64>)> = Vec::new();
-    let mut estimated = 0u64;
-    for (cluster, finishes) in clusters.iter().zip(rep_finishes) {
-        if !cluster.members.is_empty() {
-            let table = SlowdownTable::build(&spec.topo, &dec, cluster.rep, &finishes);
-            for &m in &cluster.members {
-                results.push((m, estimate_member(&spec.topo, &dec, m, &table)));
-                estimated += 1;
-            }
-        }
-        results.push((cluster.rep, finishes));
-    }
+    // A slowdown table per cluster with members, then one job per
+    // member; both fan out on the pool whatever the backend.
+    let tables = par_map(clusters.len(), |c| {
+        let cluster = &clusters[c];
+        (!cluster.members.is_empty())
+            .then(|| SlowdownTable::build(&spec.topo, &dec, cluster.rep, &rep_finishes[c]))
+    });
+    let member_jobs: Vec<(usize, usize)> = clusters
+        .iter()
+        .enumerate()
+        .flat_map(|(c, cluster)| cluster.members.iter().map(move |&m| (m, c)))
+        .collect();
+    let member_finishes = par_map(member_jobs.len(), |j| {
+        let (m, c) = member_jobs[j];
+        let table = tables[c]
+            .as_ref()
+            .expect("a cluster with members has a table");
+        estimate_member(&spec.topo, &dec, m, table)
+    });
+    drop(tables);
     telemetry
         .counter("iris_flowsim_links_estimated_total")
-        .add(estimated);
+        .add(member_jobs.len() as u64);
+
+    let results = member_jobs
+        .iter()
+        .map(|&(m, _)| m)
+        .zip(member_finishes)
+        .chain(reps.iter().copied().zip(rep_finishes));
     let records = combine(&spec.topo, &dec, results);
     Ok(EstimateReport {
         records,
@@ -192,22 +222,27 @@ pub fn estimate_with_trace(
     })
 }
 
-/// Simulate `reps` on a scoped thread pool; results align with `reps`.
-fn run_in_process(spec: &WorkSpec, dec: &Decomposition, reps: &[usize]) -> Vec<Vec<f64>> {
-    let workers = iris_planner::thread_count().clamp(1, reps.len().max(1));
+/// Map `f` over `0..n` on the in-process pool: `iris_planner::thread_count()`
+/// scoped workers pull indices off a shared counter, so uneven job costs
+/// do not idle a thread. Results come back in index order, identical to a
+/// sequential map for any width.
+pub(crate) fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let workers = iris_planner::thread_count().clamp(1, n.max(1));
     if workers <= 1 {
-        return reps.iter().map(|&l| dec.simulate(&spec.topo, l)).collect();
+        return (0..n).map(f).collect();
     }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Vec<f64>>>> = reps.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| {
                 iris_planner::with_nested_parallelism_disabled(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&link) = reps.get(i) else { break };
-                    let finishes = dec.simulate(&spec.topo, link);
-                    *slots[i].lock().expect("slot lock") = Some(finishes);
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let r = f(i);
+                    *slots[i].lock().expect("slot lock") = Some(r);
                 });
             });
         }
@@ -279,7 +314,7 @@ fn run_fleet(
     // (An incomplete job is always either queued or in flight, so the
     // wait cannot deadlock; if every dispatcher retires unreachable the
     // scope still ends and the unfilled slot reports the failure.)
-    let remaining = std::sync::atomic::AtomicUsize::new(reps.len());
+    let remaining = AtomicUsize::new(reps.len());
 
     std::thread::scope(|s| {
         for (worker_idx, endpoint) in fleet.endpoints.iter().enumerate() {
@@ -288,7 +323,6 @@ fn run_fleet(
             let fatal = &fatal;
             let remaining = &remaining;
             s.spawn(move || {
-                use std::sync::atomic::Ordering;
                 let mut jitter = Jitter::new(
                     fleet.backoff_base_ms,
                     fleet.backoff_cap_ms,

@@ -16,6 +16,7 @@
 //! capacity events into each link's piecewise-constant capacity
 //! timeline.
 
+use crate::coord::par_map;
 use crate::link::{simulate_link, LinkFlow, ScaleSegment, INCOMPLETE};
 use iris_simnet::engine::FabricModel;
 use iris_simnet::trace::FlowTrace;
@@ -69,23 +70,24 @@ impl Decomposition {
                 })
             })
             .collect();
-        // Invert pair routes to links once, then walk flows in order so
-        // every per-link list stays sorted by arrival (and flow id).
-        let crossing = topo.crossing_index();
-        let mut flows_of_pair: Vec<Vec<u32>> =
-            vec![Vec::new(); iris_simnet::traffic::pair_count(topo.n_dcs)];
-        for (id, f) in flows.iter().enumerate() {
-            flows_of_pair[pair_index(topo.n_dcs, f.pair.0, f.pair.1)].push(id as u32);
+        // Size each link's list through the crossing index, then walk
+        // flows in order so every list comes out ascending by flow id.
+        let pair_of = |f: &DecFlow| pair_index(topo.n_dcs, f.pair.0, f.pair.1);
+        let mut flows_per_pair = vec![0usize; topo.routes.len()];
+        for f in &flows {
+            flows_per_pair[pair_of(f)] += 1;
         }
-        let mut link_flows: Vec<Vec<u32>> = vec![Vec::new(); topo.links.len()];
-        for (link, pairs) in crossing.iter().enumerate() {
-            let total: usize = pairs.iter().map(|&p| flows_of_pair[p as usize].len()).sum();
-            let mut ids: Vec<u32> = Vec::with_capacity(total);
-            for &p in pairs {
-                ids.extend_from_slice(&flows_of_pair[p as usize]);
+        let mut link_flows: Vec<Vec<u32>> = topo
+            .crossing_index()
+            .iter()
+            .map(|pairs| {
+                Vec::with_capacity(pairs.iter().map(|&p| flows_per_pair[p as usize]).sum())
+            })
+            .collect();
+        for (id, f) in flows.iter().enumerate() {
+            for &link in &topo.routes[pair_of(f)] {
+                link_flows[link].push(id as u32);
             }
-            ids.sort_unstable();
-            link_flows[link] = ids;
         }
         let segments = (0..topo.links.len())
             .map(|l| link_segments(trace, l))
@@ -183,6 +185,10 @@ fn link_segments(trace: &FlowTrace, link: usize) -> Vec<ScaleSegment> {
     segments
 }
 
+/// Flows per [`combine`] block: small enough that a block's per-flow
+/// state stays in cache while every link's results are folded into it.
+const COMBINE_BLOCK: usize = 1 << 13;
+
 /// Fold independent per-link results into flow records.
 ///
 /// `results` yields `(link, finishes)` pairs where `finishes` aligns
@@ -194,46 +200,72 @@ fn link_segments(trace: &FlowTrace, link: usize) -> Vec<ScaleSegment> {
 /// link's transfer time plus the route's propagation RTT (charged
 /// analytically, as the exact engine does). Records come back in flow
 /// arrival order.
+///
+/// The fold runs over blocks of flow ids on the in-process pool; each
+/// block takes its slice of every link's (ascending) flow list.
 #[must_use]
 pub fn combine(
     topo: &SimTopology,
     dec: &Decomposition,
     results: impl IntoIterator<Item = (usize, Vec<f64>)>,
 ) -> Vec<FlowRecord> {
-    let mut max_transfer = vec![0.0f64; dec.flows.len()];
-    let mut links_left: Vec<u32> = dec
-        .flows
-        .iter()
-        .map(|f| topo.route(f.pair.0, f.pair.1).len() as u32)
+    let results: Vec<(&[u32], Vec<f64>)> = results
+        .into_iter()
+        .map(|(link, finishes)| {
+            let ids = &dec.link_flows[link];
+            assert_eq!(ids.len(), finishes.len(), "link {link} result misaligned");
+            (ids.as_slice(), finishes)
+        })
         .collect();
-    let mut dead = vec![false; dec.flows.len()];
-    for (link, finishes) in results {
-        let ids = &dec.link_flows[link];
-        assert_eq!(ids.len(), finishes.len(), "link {link} result misaligned");
-        for (&id, &fin) in ids.iter().zip(&finishes) {
-            let id = id as usize;
-            if fin == INCOMPLETE || fin < 0.0 {
-                dead[id] = true;
-            } else {
-                let transfer = fin - dec.flows[id].start_s;
-                max_transfer[id] = max_transfer[id].max(transfer);
-                links_left[id] -= 1;
+    // Route length per DC pair, looked up once instead of per flow.
+    let route_len: Vec<u32> = topo.routes.iter().map(|r| r.len() as u32).collect();
+    let pair_of = |f: &DecFlow| pair_index(topo.n_dcs, f.pair.0, f.pair.1);
+    // Per block: each flow's FCT, or INCOMPLETE.
+    let blocks = par_map(dec.flows.len().div_ceil(COMBINE_BLOCK), |b| {
+        let lo = b * COMBINE_BLOCK;
+        let flows = &dec.flows[lo..(lo + COMBINE_BLOCK).min(dec.flows.len())];
+        let hi = (lo + flows.len()) as u32;
+        let mut max_transfer = vec![0.0f64; flows.len()];
+        let mut links_left: Vec<u32> = flows.iter().map(|f| route_len[pair_of(f)]).collect();
+        let mut dead = vec![false; flows.len()];
+        for (ids, finishes) in &results {
+            let from = ids.partition_point(|&id| (id as usize) < lo);
+            let to = from + ids[from..].partition_point(|&id| id < hi);
+            for (&id, &fin) in ids[from..to].iter().zip(&finishes[from..to]) {
+                let k = id as usize - lo;
+                if fin == INCOMPLETE || fin < 0.0 {
+                    dead[k] = true;
+                } else {
+                    let transfer = fin - flows[k].start_s;
+                    max_transfer[k] = max_transfer[k].max(transfer);
+                    links_left[k] -= 1;
+                }
             }
         }
-    }
-    let mut records = Vec::new();
-    for (id, f) in dec.flows.iter().enumerate() {
-        let route_len = topo.route(f.pair.0, f.pair.1).len();
-        if route_len == 0 || dead[id] || links_left[id] != 0 {
-            continue;
+        flows
+            .iter()
+            .enumerate()
+            .map(|(k, f)| {
+                let pair = pair_of(f);
+                if route_len[pair] == 0 || dead[k] || links_left[k] != 0 {
+                    INCOMPLETE
+                } else {
+                    max_transfer[k] + topo.route_rtt_s[pair]
+                }
+            })
+            .collect::<Vec<f64>>()
+    });
+    drop(results);
+    let mut records = Vec::with_capacity(dec.flows.len());
+    for (f, &fct_s) in dec.flows.iter().zip(blocks.iter().flatten()) {
+        if fct_s != INCOMPLETE {
+            records.push(FlowRecord {
+                pair: f.pair,
+                size_bytes: f.size_bytes,
+                start_s: f.start_s,
+                fct_s,
+            });
         }
-        let rtt = topo.route_rtt_s[pair_index(topo.n_dcs, f.pair.0, f.pair.1)];
-        records.push(FlowRecord {
-            pair: f.pair,
-            size_bytes: f.size_bytes,
-            start_s: f.start_s,
-            fct_s: max_transfer[id] + rtt,
-        });
     }
     records
 }

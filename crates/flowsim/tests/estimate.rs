@@ -212,14 +212,36 @@ fn fleet_with_no_reachable_endpoint_reports_typed_failure() {
 
 #[test]
 fn in_process_backend_ignores_thread_count() {
-    // IRIS_THREADS governs pool width, never results. (Set/remove is
-    // process-global but harmless: no other test depends on widths.)
-    let spec = spec(6, 13, 0.5, 2.0);
+    // IRIS_THREADS governs pool width, never results. Link simulation,
+    // cluster features, slowdown tables, member estimates and the
+    // combine all run on the pool, so the clustered spec must actually
+    // have members. (Set/remove is process-global but harmless: no other
+    // test depends on widths.)
+    let spec = spec(12, 3, 0.5, 2.0);
     let trace = spec.trace();
-    std::env::set_var("IRIS_THREADS", "1");
-    let one = estimate_with_trace(&spec, &trace, &EstimateConfig::default()).expect("1 thread");
-    std::env::set_var("IRIS_THREADS", "4");
-    let four = estimate_with_trace(&spec, &trace, &EstimateConfig::default()).expect("4 threads");
-    std::env::remove_var("IRIS_THREADS");
-    assert_bit_identical(&one.records, &four.records);
+    for cfg in [EstimateConfig::default(), exact_cfg()] {
+        let runs: Vec<_> = ["1", "2", "4"]
+            .iter()
+            .map(|threads| {
+                std::env::set_var("IRIS_THREADS", threads);
+                estimate_with_trace(&spec, &trace, &cfg).expect("in-process estimate")
+            })
+            .collect();
+        std::env::remove_var("IRIS_THREADS");
+        let one = &runs[0];
+        if cfg.cluster {
+            assert!(
+                one.links_simulated < one.links_occupied,
+                "no cluster has members ({} of {} links simulated)",
+                one.links_simulated,
+                one.links_occupied
+            );
+        } else {
+            assert_eq!(one.links_simulated, one.links_occupied);
+        }
+        for other in &runs[1..] {
+            assert_bit_identical(&one.records, &other.records);
+            assert_eq!(one.links_simulated, other.links_simulated);
+        }
+    }
 }
