@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iris_simnet::engine::{FabricModel, SimConfig, Simulator};
 use iris_simnet::traffic::ChangeModel;
-use iris_simnet::workloads::FlowSizeDist;
+use iris_simnet::workloads::{FlowSizeDist, SizeSampler};
 use iris_simnet::{SimTopology, TrafficMatrix};
 use std::hint::black_box;
 
@@ -48,9 +48,10 @@ fn bench_workload_sampling(c: &mut Criterion) {
     use rand::SeedableRng;
     let mut group = c.benchmark_group("flow_size_sampling");
     for dist in FlowSizeDist::all_paper_workloads() {
+        let sampler = SizeSampler::new(&dist);
         group.bench_function(dist.name.clone(), |b| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-            b.iter(|| black_box(dist.sample(&mut rng)))
+            b.iter(|| black_box(sampler.sample(&mut rng)))
         });
     }
     group.finish();

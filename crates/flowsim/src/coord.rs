@@ -27,7 +27,9 @@
 //! clustering, one slowdown table per cluster with members, one
 //! estimate per member link, and [`combine`]'s fold over blocks of flow
 //! ids. Trace generation, the decomposition and the greedy cluster
-//! assignment run on the calling thread.
+//! assignment run on the calling thread; generation streams each
+//! arrival straight into the decomposition, so [`estimate`] never
+//! materializes the trace's arrival list.
 
 use crate::cluster::{cluster_links, estimate_member, SlowdownTable};
 use crate::decompose::{combine, Decomposition};
@@ -130,15 +132,15 @@ pub struct EstimateReport {
 }
 
 /// Estimate FCTs for `spec`: generate the trace, decompose, cluster,
-/// simulate, combine. The trace is freed once decomposed.
+/// simulate, combine. Generation streams each arrival straight into the
+/// decomposition, so the trace's arrival list is never materialized.
 ///
 /// # Errors
 ///
 /// Fails only on fleet-backend transport exhaustion; the in-process
 /// backend is infallible.
 pub fn estimate(spec: &WorkSpec, cfg: &EstimateConfig) -> IrisResult<EstimateReport> {
-    let dec = Decomposition::build(&spec.topo, &spec.trace());
-    estimate_decomposed(spec, dec, cfg)
+    estimate_decomposed(spec, Decomposition::generate(spec), cfg)
 }
 
 /// [`estimate`] for callers that already materialized the trace (e.g.

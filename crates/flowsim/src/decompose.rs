@@ -18,8 +18,9 @@
 
 use crate::coord::par_map;
 use crate::link::{simulate_link, LinkFlow, ScaleSegment, INCOMPLETE};
+use crate::proto::WorkSpec;
 use iris_simnet::engine::FabricModel;
-use iris_simnet::trace::FlowTrace;
+use iris_simnet::trace::{FlowTrace, TraceArrival};
 use iris_simnet::traffic::pair_index;
 use iris_simnet::{FlowRecord, SimTopology};
 
@@ -59,45 +60,22 @@ impl Decomposition {
     #[must_use]
     pub fn build(topo: &SimTopology, trace: &FlowTrace) -> Self {
         assert_eq!(topo.n_dcs, trace.n_dcs, "trace/topology DC mismatch");
-        let flows: Vec<DecFlow> = trace
-            .arrivals
-            .iter()
-            .filter_map(|a| {
-                a.flow.map(|f| DecFlow {
-                    pair: f.pair,
-                    start_s: a.start_s,
-                    size_bytes: f.size_bytes,
-                })
-            })
-            .collect();
-        // Size each link's list through the crossing index, then walk
-        // flows in order so every list comes out ascending by flow id.
-        let pair_of = |f: &DecFlow| pair_index(topo.n_dcs, f.pair.0, f.pair.1);
-        let mut flows_per_pair = vec![0usize; topo.routes.len()];
-        for f in &flows {
-            flows_per_pair[pair_of(f)] += 1;
+        let mut builder = Builder::new(topo);
+        for &arrival in &trace.arrivals {
+            builder.push(arrival);
         }
-        let mut link_flows: Vec<Vec<u32>> = topo
-            .crossing_index()
-            .iter()
-            .map(|pairs| {
-                Vec::with_capacity(pairs.iter().map(|&p| flows_per_pair[p as usize]).sum())
-            })
-            .collect();
-        for (id, f) in flows.iter().enumerate() {
-            for &link in &topo.routes[pair_of(f)] {
-                link_flows[link].push(id as u32);
-            }
-        }
-        let segments = (0..topo.links.len())
-            .map(|l| link_segments(trace, l))
-            .collect();
-        Self {
-            flows,
-            link_flows,
-            segments,
-            duration_s: trace.duration_s,
-        }
+        builder.finish(trace)
+    }
+
+    /// Decompose `spec`'s trace as it is generated: arrivals stream from
+    /// [`iris_simnet::Simulator::trace_with`] into the decomposition, so
+    /// the trace's arrival list is never materialized. Equal to
+    /// `Decomposition::build(&spec.topo, &spec.trace())`.
+    #[must_use]
+    pub(crate) fn generate(spec: &WorkSpec) -> Self {
+        let mut builder = Builder::new(&spec.topo);
+        let header = spec.simulator().trace_with(|arrival| builder.push(arrival));
+        builder.finish(&header)
     }
 
     /// Links carrying at least one flow, ascending — the job list.
@@ -129,6 +107,69 @@ impl Decomposition {
             &flows,
             self.duration_s,
         )
+    }
+}
+
+/// The one decomposition path: admitted flows are pushed in arrival
+/// order, counted per DC pair, then assigned to the links of their
+/// routes.
+struct Builder<'a> {
+    topo: &'a SimTopology,
+    flows: Vec<DecFlow>,
+    flows_per_pair: Vec<usize>,
+}
+
+impl<'a> Builder<'a> {
+    fn new(topo: &'a SimTopology) -> Self {
+        Self {
+            topo,
+            flows: Vec::new(),
+            flows_per_pair: vec![0; topo.routes.len()],
+        }
+    }
+
+    fn push(&mut self, arrival: TraceArrival) {
+        if let Some(f) = arrival.flow {
+            self.flows_per_pair[pair_index(self.topo.n_dcs, f.pair.0, f.pair.1)] += 1;
+            self.flows.push(DecFlow {
+                pair: f.pair,
+                start_s: arrival.start_s,
+                size_bytes: f.size_bytes,
+            });
+        }
+    }
+
+    /// `trace` supplies the capacity timeline (fabric, change fractions,
+    /// capacity events, duration); its arrivals are not read.
+    fn finish(self, trace: &FlowTrace) -> Decomposition {
+        let Builder {
+            topo,
+            flows,
+            flows_per_pair,
+        } = self;
+        // Size each link's list through the crossing index, then walk
+        // flows in order so every list comes out ascending by flow id.
+        let mut link_flows: Vec<Vec<u32>> = topo
+            .crossing_index()
+            .iter()
+            .map(|pairs| {
+                Vec::with_capacity(pairs.iter().map(|&p| flows_per_pair[p as usize]).sum())
+            })
+            .collect();
+        for (id, f) in flows.iter().enumerate() {
+            for &link in &topo.routes[pair_index(topo.n_dcs, f.pair.0, f.pair.1)] {
+                link_flows[link].push(id as u32);
+            }
+        }
+        let segments = (0..topo.links.len())
+            .map(|l| link_segments(trace, l))
+            .collect();
+        Decomposition {
+            flows,
+            link_flows,
+            segments,
+            duration_s: trace.duration_s,
+        }
     }
 }
 
@@ -273,22 +314,16 @@ pub fn combine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iris_simnet::engine::{SimConfig, Simulator};
+    use iris_simnet::engine::SimConfig;
     use iris_simnet::traffic::ChangeModel;
     use iris_simnet::workloads::FlowSizeDist;
     use iris_simnet::TrafficMatrix;
 
-    fn spec_trace(
-        topo: &SimTopology,
-        fabric: FabricModel,
-        seed: u64,
-        duration_s: f64,
-    ) -> FlowTrace {
-        let matrix = TrafficMatrix::heavy_tailed(topo.n_dcs, seed);
-        Simulator::new(
-            topo.clone(),
-            matrix,
-            SimConfig {
+    fn spec(topo: &SimTopology, fabric: FabricModel, seed: u64, duration_s: f64) -> WorkSpec {
+        WorkSpec {
+            topo: topo.clone(),
+            matrix: TrafficMatrix::heavy_tailed(topo.n_dcs, seed),
+            config: SimConfig {
                 duration_s,
                 utilization: 0.5,
                 flow_sizes: FlowSizeDist::facebook_web(),
@@ -298,8 +333,31 @@ mod tests {
                 capacity_events: Vec::new(),
                 seed,
             },
-        )
-        .trace()
+        }
+    }
+
+    fn spec_trace(
+        topo: &SimTopology,
+        fabric: FabricModel,
+        seed: u64,
+        duration_s: f64,
+    ) -> FlowTrace {
+        spec(topo, fabric, seed, duration_s).trace()
+    }
+
+    #[test]
+    fn streamed_generation_equals_building_from_the_trace() {
+        let topo = SimTopology::hub_and_spoke(6, 1.0);
+        for fabric in [FabricModel::Eps, FabricModel::Iris { outage_s: 0.07 }] {
+            let spec = spec(&topo, fabric, 5, 4.0);
+            let streamed = Decomposition::generate(&spec);
+            let built = Decomposition::build(&topo, &spec.trace());
+            assert!(!built.flows.is_empty());
+            assert_eq!(streamed.flows, built.flows);
+            assert_eq!(streamed.link_flows, built.link_flows);
+            assert_eq!(streamed.segments, built.segments);
+            assert_eq!(streamed.duration_s.to_bits(), built.duration_s.to_bits());
+        }
     }
 
     #[test]

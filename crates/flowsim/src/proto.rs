@@ -48,7 +48,12 @@ impl WorkSpec {
     /// Materialize the spec's flow trace (deterministic).
     #[must_use]
     pub fn trace(&self) -> FlowTrace {
-        Simulator::new(self.topo.clone(), self.matrix.clone(), self.config.clone()).trace()
+        self.simulator().trace()
+    }
+
+    /// The simulator that generates the spec's trace.
+    pub(crate) fn simulator(&self) -> Simulator {
+        Simulator::new(self.topo.clone(), self.matrix.clone(), self.config.clone())
     }
 
     /// Content fingerprint (FNV-1a over the canonical JSON encoding) —

@@ -29,7 +29,8 @@ pub struct WorkerConfig {
 }
 
 /// The decomposition built from the last installed spec, shared across
-/// connections.
+/// connections. It is generated in one streamed pass from the spec (the
+/// trace's arrival list is never held), as `estimate` builds its own.
 #[derive(Debug, Default)]
 struct SpecCache {
     entry: Option<(u64, Arc<(SimTopology, Decomposition)>)>,
@@ -43,9 +44,7 @@ impl SpecCache {
                 return (Arc::clone(run), true);
             }
         }
-        let trace = spec.trace();
-        let dec = Decomposition::build(&spec.topo, &trace);
-        let run = Arc::new((spec.topo.clone(), dec));
+        let run = Arc::new((spec.topo.clone(), Decomposition::generate(spec)));
         self.entry = Some((fp, Arc::clone(&run)));
         (run, false)
     }

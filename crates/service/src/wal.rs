@@ -248,8 +248,8 @@ pub fn read_log(path: &Path) -> IrisResult<(Vec<WalBatch>, Salvage)> {
 /// [`IrisError::Corrupt`] if it does not parse as a
 /// [`PersistedSnapshot`].
 pub fn read_snapshot(path: &Path) -> IrisResult<Option<PersistedSnapshot>> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => {
             return Err(IrisError::Io {
@@ -257,12 +257,16 @@ pub fn read_snapshot(path: &Path) -> IrisResult<Option<PersistedSnapshot>> {
             })
         }
     };
-    serde_json::from_str(&text)
+    // Bytes that are not UTF-8 are a damaged file, not a failed read.
+    let corrupt = |detail: String| IrisError::Corrupt {
+        what: path.display().to_string(),
+        detail,
+    };
+    let text =
+        std::str::from_utf8(&bytes).map_err(|e| corrupt(format!("snapshot is not UTF-8: {e}")))?;
+    serde_json::from_str(text)
         .map(Some)
-        .map_err(|e| IrisError::Corrupt {
-            what: path.display().to_string(),
-            detail: format!("not a persisted snapshot: {e}"),
-        })
+        .map_err(|e| corrupt(format!("not a persisted snapshot: {e}")))
 }
 
 /// An open write-ahead log plus its snapshot slot.
@@ -696,6 +700,17 @@ mod tests {
         let err = Wal::open(&dir).unwrap_err();
         assert_eq!(err.code(), "corrupt");
         assert!(err.to_string().contains(SNAPSHOT_FILE), "{err}");
+    }
+
+    #[test]
+    fn non_utf8_snapshot_is_typed_corrupt() {
+        let dir = tmp_dir("utf8snap");
+        let path = dir.join(SNAPSHOT_FILE);
+        std::fs::write(&path, b"{\"epoch\":\xff}").unwrap();
+        let err = read_snapshot(&path).unwrap_err();
+        assert_eq!(err.code(), "corrupt", "{err}");
+        assert!(err.to_string().contains("UTF-8"), "{err}");
+        assert_eq!(Wal::open(&dir).unwrap_err().code(), "corrupt");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::topology::SimTopology;
 use crate::trace::{FlowTrace, TraceArrival, TraceFlow};
 use crate::traffic::{pair_index, ChangeModel, TrafficMatrix};
-use crate::workloads::FlowSizeDist;
+use crate::workloads::{FlowSizeDist, SizeSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -234,7 +234,7 @@ impl Simulator {
         let mut src = RngSource::new(
             &topo,
             matrix,
-            config.flow_sizes,
+            &config.flow_sizes,
             config.change_model,
             config.change_interval_s,
             arrival_rate,
@@ -256,8 +256,27 @@ impl Simulator {
     /// [`FlowTrace`] therefore satisfies `trace.replay(&topo) ==
     /// sim.run()` float-for-float, and is what the decomposed
     /// per-link estimator consumes. Costs O(flows), no water-filling.
+    /// This collects [`Simulator::trace_with`]'s arrivals.
     #[must_use]
-    pub fn trace(mut self) -> FlowTrace {
+    pub fn trace(self) -> FlowTrace {
+        let mut arrivals = Vec::new();
+        let mut trace = self.trace_with(|a| arrivals.push(a));
+        trace.arrivals = arrivals;
+        trace
+    }
+
+    /// The workload generator behind [`Simulator::trace`], streaming:
+    /// each arrival tick goes to `sink` in time order as it is drawn,
+    /// and the returned trace holds everything else (the scheduling
+    /// constants and every change fraction) with `arrivals` left empty.
+    /// A consumer that folds arrivals as they come, like the decomposed
+    /// estimator, never holds the whole arrival list.
+    ///
+    /// Pairs and sizes come from exact tables (one threshold per DC
+    /// pair, rebuilt at every matrix change, and the size CDF's anchor
+    /// logs), which give the same draw for every uniform variate as the
+    /// sequential weight scan and per-draw interpolation they replace.
+    pub fn trace_with(mut self, mut sink: impl FnMut(TraceArrival)) -> FlowTrace {
         self.clamp_matrix();
         let Simulator {
             topo,
@@ -270,14 +289,13 @@ impl Simulator {
         let mut src = RngSource::new(
             &topo,
             matrix,
-            config.flow_sizes,
+            &config.flow_sizes,
             config.change_model,
             config.change_interval_s,
             arrival_rate,
             mean_bits,
             config.seed,
         );
-        let mut arrivals = Vec::new();
         let mut change_fractions = Vec::new();
         loop {
             let ta = src.next_arrival();
@@ -289,7 +307,7 @@ impl Simulator {
                 let flow = src
                     .pop_arrival(ta)
                     .map(|(pair, size_bytes)| TraceFlow { pair, size_bytes });
-                arrivals.push(TraceArrival { start_s: ta, flow });
+                sink(TraceArrival { start_s: ta, flow });
             } else {
                 change_fractions.push(src.pop_change(tc));
             }
@@ -300,7 +318,7 @@ impl Simulator {
             change_interval_s: config.change_interval_s,
             fabric: config.fabric,
             capacity_events: config.capacity_events,
-            arrivals,
+            arrivals: Vec::new(),
             change_fractions,
         }
     }
@@ -418,7 +436,8 @@ pub(crate) trait EventSource {
 pub(crate) struct RngSource<'a> {
     topo: &'a SimTopology,
     matrix: TrafficMatrix,
-    flow_sizes: FlowSizeDist,
+    pairs: PairSampler,
+    sizes: SizeSampler,
     change_model: ChangeModel,
     change_interval_s: Option<f64>,
     arrival_rate: f64,
@@ -433,7 +452,7 @@ impl<'a> RngSource<'a> {
     fn new(
         topo: &'a SimTopology,
         matrix: TrafficMatrix,
-        flow_sizes: FlowSizeDist,
+        flow_sizes: &FlowSizeDist,
         change_model: ChangeModel,
         change_interval_s: Option<f64>,
         arrival_rate: f64,
@@ -444,8 +463,9 @@ impl<'a> RngSource<'a> {
         let next_arrival = sample_exp(&mut rng, arrival_rate);
         Self {
             topo,
+            pairs: PairSampler::new(&matrix),
             matrix,
-            flow_sizes,
+            sizes: SizeSampler::new(flow_sizes),
             change_model,
             change_interval_s,
             arrival_rate,
@@ -467,10 +487,13 @@ impl EventSource for RngSource<'_> {
     }
 
     fn pop_arrival(&mut self, now: f64) -> Option<((usize, usize), f64)> {
-        // `sample_pair` thins arrivals when the clamp has reduced the
+        // The pair draw thins arrivals when the clamp has reduced the
         // total admitted weight below 1.
-        let admitted = sample_pair(&mut self.rng, &self.matrix)
-            .map(|pair| (pair, self.flow_sizes.sample(&mut self.rng)));
+        let u: f64 = self.rng.random_range(0.0..1.0);
+        let admitted = self
+            .pairs
+            .sample(u)
+            .map(|pair| (pair, self.sizes.sample(&mut self.rng)));
         self.next_arrival = now + sample_exp(&mut self.rng, self.arrival_rate);
         admitted
     }
@@ -483,9 +506,99 @@ impl EventSource for RngSource<'_> {
             self.arrival_rate,
             self.mean_bits,
         );
+        self.pairs = PairSampler::new(&self.matrix);
         self.next_change = now + self.change_interval_s.expect("change scheduled");
         moved
     }
+}
+
+/// The weighted DC-pair draw as an exact table. The draw it tabulates
+/// is a sequential scan of the pair weights in triangular order: start
+/// at a uniform `u`, pick the first pair `k` with `t < w_k`, otherwise
+/// `t -= w_k` and go on; past the last pair the arrival is thinned
+/// (weights sum to less than 1 after capacity clamping).
+///
+/// Every step `t -> fl(t - w)` is monotone in `t`, so whether the scan
+/// gets past pair `k` is monotone in `u`: it does exactly when `u >=
+/// thresholds[k]`, the smallest such `u`. The scan's pick is then the
+/// number of thresholds at or below `u` — a binary search with the
+/// same result, float for float, as the scan for every `u` in `[0, 1)`.
+#[derive(Debug, Clone)]
+pub(crate) struct PairSampler {
+    /// DC pairs in triangular order.
+    pairs: Vec<(usize, usize)>,
+    /// `thresholds[k]`: the smallest `u` whose scan gets past pair `k`,
+    /// or 1.0 when no `u` below 1 does. Non-decreasing.
+    thresholds: Vec<f64>,
+}
+
+impl PairSampler {
+    /// Tabulate the scan over `matrix`'s current weights.
+    pub(crate) fn new(matrix: &TrafficMatrix) -> Self {
+        let n = matrix.n_dcs();
+        let weights = matrix.weights();
+        let pairs = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .collect();
+        let mut thresholds = Vec::with_capacity(weights.len());
+        let (mut floor, mut prefix) = (0.0f64, 0.0f64);
+        for (k, &w) in weights.iter().enumerate() {
+            prefix += w;
+            floor = threshold(weights, k, prefix, floor);
+            thresholds.push(floor);
+        }
+        Self { pairs, thresholds }
+    }
+
+    /// The pair the scan picks for `u` in `[0, 1)`, or `None` (thinned).
+    pub(crate) fn sample(&self, u: f64) -> Option<(usize, usize)> {
+        let k = self.thresholds.partition_point(|&b| b <= u);
+        self.pairs.get(k).copied()
+    }
+}
+
+/// Whether the scan started at `u` gets past pair `k`.
+fn scan_passes(weights: &[f64], k: usize, u: f64) -> bool {
+    let mut t = u;
+    for &w in &weights[..=k] {
+        if t < w {
+            return false;
+        }
+        t -= w;
+    }
+    true
+}
+
+/// The smallest `u` in `[floor, 1)` whose scan gets past pair `k`, or
+/// 1.0 when there is none; `floor` is pair `k - 1`'s threshold, below
+/// which no scan gets that far. Bisects over the bit patterns of
+/// non-negative floats (ordered like their values), first inside a
+/// bracket around the float prefix sum `guess`, which the threshold
+/// misses by at most a few rounding errors per pair.
+fn threshold(weights: &[f64], k: usize, guess: f64, floor: f64) -> f64 {
+    let passes = |u: f64| u >= 1.0 || scan_passes(weights, k, u);
+    if passes(floor) {
+        return floor;
+    }
+    let slack = (k + 2) as f64 * 2.0 * f64::EPSILON;
+    let (mut lo, mut hi) = (floor, 1.0f64);
+    if guess - slack > lo && !passes(guess - slack) {
+        lo = guess - slack;
+    }
+    if guess + slack > lo && guess + slack < hi && passes(guess + slack) {
+        hi = guess + slack;
+    }
+    // !passes(lo) and passes(hi).
+    let (mut lo, mut hi) = (lo.to_bits(), hi.to_bits());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if passes(f64::from_bits(mid)) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    f64::from_bits(hi)
 }
 
 /// The shared event loop: max-min rate recompute at every event, exact
@@ -831,24 +944,6 @@ fn sample_exp<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     -u.ln() / rate
 }
 
-/// Sample a DC pair proportionally to weight. Weights may sum to less
-/// than 1 after capacity clamping; the shortfall thins the arrival
-/// process (`None` = this arrival is not admitted).
-fn sample_pair<R: Rng + ?Sized>(rng: &mut R, matrix: &TrafficMatrix) -> Option<(usize, usize)> {
-    let mut target: f64 = rng.random_range(0.0..1.0);
-    let n = matrix.n_dcs();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let w = matrix.weights()[pair_index(n, i, j)];
-            if target < w {
-                return Some((i, j));
-            }
-            target -= w;
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,6 +1027,61 @@ mod tests {
             let rounds_fresh = max_min_rates(&topo, &scale, population, &mut fresh);
             assert_eq!(rounds_reused, rounds_fresh);
             assert_eq!(reused.rates(), fresh.rates());
+        }
+    }
+
+    /// The sequential scan [`PairSampler`] tabulates, kept as the
+    /// oracle: one `pair_index` and one subtraction per pair.
+    fn reference_scan(matrix: &TrafficMatrix, u: f64) -> Option<(usize, usize)> {
+        let mut target = u;
+        let n = matrix.n_dcs();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let w = matrix.weights()[pair_index(n, i, j)];
+                if target < w {
+                    return Some((i, j));
+                }
+                target -= w;
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn pair_sampler_matches_the_sequential_scan() {
+        let mut rng = StdRng::seed_from_u64(0x7ab1e);
+        let seeded: Vec<f64> = (0..100_000).map(|_| rng.random_range(0.0..1.0)).collect();
+        for n in [3, 12, 20] {
+            let fresh = TrafficMatrix::heavy_tailed(n, 31 + n as u64);
+            // Clamped: 5 Gbps per unit weight on 1 Gbps spokes, so the
+            // weights sum below 1 and some draws are thinned.
+            let mut clamped = fresh.clone();
+            clamp_matrix_to_capacity(
+                &SimTopology::hub_and_spoke(n, 1.0),
+                &mut clamped,
+                625.0,
+                8e6,
+            );
+            assert!(clamped.total_weight() < 0.99, "{n} DCs: not clamped");
+            let mut changed = fresh.clone();
+            changed.change(ChangeModel::Unbounded);
+            for matrix in [fresh, clamped, changed] {
+                let sampler = PairSampler::new(&matrix);
+                let mut probes = seeded.clone();
+                for &b in &sampler.thresholds {
+                    probes.extend([b, b.next_down()]);
+                }
+                probes.extend([0.0, 1.0_f64.next_down()]);
+                let mut thinned = 0;
+                for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                    let want = reference_scan(&matrix, u);
+                    assert_eq!(sampler.sample(u), want, "{n} DCs, u = {u:e}");
+                    thinned += usize::from(want.is_none());
+                }
+                if matrix.total_weight() < 0.99 {
+                    assert!(thinned > 0, "{n} DCs: clamped matrix thinned nothing");
+                }
+            }
         }
     }
 

@@ -10,6 +10,17 @@
 //! through the exact event loop and reproduces
 //! [`crate::Simulator::run`] float-for-float.
 //!
+//! Generation is one loop, [`crate::Simulator::trace_with`], which hands
+//! each arrival to a sink as it is drawn; `trace` is the sink that
+//! collects them, and a consumer that folds arrivals on the fly (the
+//! decomposed estimator) never holds the list. Draws come from exact
+//! tables: one threshold per DC pair, rebuilt at every matrix change,
+//! and the flow-size CDF's precomputed anchor logs
+//! ([`crate::workloads::SizeSampler`]). For every uniform variate they
+//! give the same pair and size, bit for bit, as a sequential scan of the
+//! pair weights and a per-draw log interpolation, so a trace does not
+//! depend on how it is drawn.
+//!
 //! The split is what makes decomposed (per-link) flow simulation
 //! honest: `iris-flowsim` estimates FCTs from the *same trace* the
 //! exact simulator would consume, so a validation run compares two

@@ -127,40 +127,115 @@ impl FlowSizeDist {
         ]
     }
 
-    /// Inverse-transform sample of a flow size in bytes.
+    /// The size at cumulative probability `u` (log-linear interpolation
+    /// between anchors; sizes below the first anchor interpolate from an
+    /// implicit tiny minimum). One-off lookups; a draw loop should
+    /// build a [`SizeSampler`] once.
+    #[must_use]
+    pub fn quantile(&self, u: f64) -> f64 {
+        SizeSampler::new(self).quantile(u)
+    }
+
+    /// Mean flow size (bytes) via numeric integration of the quantile.
+    #[must_use]
+    pub fn mean_bytes(&self) -> f64 {
+        SizeSampler::new(self).mean_bytes()
+    }
+
+    /// The paper's short-flow threshold: < 50 KB (§6.3).
+    pub const SHORT_FLOW_BYTES: f64 = 50.0e3;
+}
+
+/// A [`FlowSizeDist`] prepared for drawing: the log of every anchor is
+/// taken once, so a draw costs a segment search and one `exp`. The
+/// interpolation is geometric (log-domain), natural for size scales.
+///
+/// This is the only implementation of the quantile; [`FlowSizeDist`]
+/// delegates to it, and stays the serialized form (the sampler is never
+/// serialized).
+#[derive(Debug, Clone)]
+pub struct SizeSampler {
+    /// One segment per CDF step, the implicit floor's first.
+    segments: Vec<Segment>,
+    /// The last anchor's size, returned above the last probability.
+    max_size: f64,
+}
+
+/// One piece of the inverse CDF: `u` in `(p_lo, p_hi]` maps to
+/// `exp(ln_lo + ln_span * t)` with `t = (u - p_lo) / p_span`, or `t =
+/// fixed_t` when the probability step is degenerate.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    p_lo: f64,
+    p_hi: f64,
+    p_span: f64,
+    fixed_t: Option<f64>,
+    ln_lo: f64,
+    ln_span: f64,
+}
+
+impl Segment {
+    fn new(s0: f64, s1: f64, p0: f64, p1: f64, fixed_t: Option<f64>) -> Self {
+        Self {
+            p_lo: p0,
+            p_hi: p1,
+            p_span: p1 - p0,
+            fixed_t,
+            ln_lo: s0.ln(),
+            ln_span: s1.ln() - s0.ln(),
+        }
+    }
+}
+
+impl SizeSampler {
+    /// Precompute the anchor logs of `dist`.
+    #[must_use]
+    pub fn new(dist: &FlowSizeDist) -> Self {
+        let anchors = &dist.anchors;
+        let (first_size, first_p) = anchors[0];
+        // Below the first anchor: from a 64-byte implicit floor.
+        let floor = Segment::new(
+            64.0_f64.min(first_size),
+            first_size,
+            0.0,
+            first_p,
+            (first_p == 0.0).then_some(0.0),
+        );
+        let steps = anchors.windows(2).map(|w| {
+            let ((s0, p0), (s1, p1)) = (w[0], w[1]);
+            Segment::new(s0, s1, p0, p1, ((p1 - p0).abs() < 1e-12).then_some(1.0))
+        });
+        Self {
+            segments: std::iter::once(floor).chain(steps).collect(),
+            max_size: anchors.last().expect("non-empty").0,
+        }
+    }
+
+    /// Inverse-transform sample of a flow size in bytes (one uniform
+    /// draw).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.random_range(0.0..1.0);
         self.quantile(u)
     }
 
-    /// The size at cumulative probability `u` (log-linear interpolation
-    /// between anchors; sizes below the first anchor interpolate from an
-    /// implicit tiny minimum).
+    /// The size at cumulative probability `u`: the first segment whose
+    /// upper probability is at least `u` (clamped to `[0, 1]`).
     #[must_use]
     pub fn quantile(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
-        let (first_size, first_p) = self.anchors[0];
-        if u <= first_p {
-            // Interpolate from a 64-byte implicit floor to the first anchor.
-            let t = if first_p == 0.0 { 0.0 } else { u / first_p };
-            return interp_log(64.0_f64.min(first_size), first_size, t);
-        }
-        for w in self.anchors.windows(2) {
-            let (s0, p0) = w[0];
-            let (s1, p1) = w[1];
-            if u <= p1 {
-                let t = if (p1 - p0).abs() < 1e-12 {
-                    1.0
-                } else {
-                    (u - p0) / (p1 - p0)
-                };
-                return interp_log(s0, s1, t);
+        // Upper probabilities are non-decreasing, so `u <= p_hi` holds
+        // on a suffix; the filter sends NaN to the last size.
+        let k = self.segments.partition_point(|s| s.p_hi < u);
+        match self.segments.get(k).filter(|s| u <= s.p_hi) {
+            Some(s) => {
+                let t = s.fixed_t.unwrap_or_else(|| (u - s.p_lo) / s.p_span);
+                (s.ln_lo + s.ln_span * t).exp()
             }
+            None => self.max_size,
         }
-        self.anchors.last().expect("non-empty").0
     }
 
-    /// Mean flow size (bytes) via numeric integration of the quantile.
+    /// Mean flow size (bytes) via midpoint integration of the quantile.
     #[must_use]
     pub fn mean_bytes(&self) -> f64 {
         const STEPS: usize = 10_000;
@@ -169,14 +244,6 @@ impl FlowSizeDist {
             .sum::<f64>()
             / STEPS as f64
     }
-
-    /// The paper's short-flow threshold: < 50 KB (§6.3).
-    pub const SHORT_FLOW_BYTES: f64 = 50.0e3;
-}
-
-/// Geometric (log-domain) interpolation — natural for size scales.
-fn interp_log(a: f64, b: f64, t: f64) -> f64 {
-    (a.ln() + (b.ln() - a.ln()) * t).exp()
 }
 
 #[cfg(test)]
@@ -203,12 +270,70 @@ mod tests {
         assert!((d.quantile(1.0) - 20.0e6).abs() / 20.0e6 < 1e-6);
     }
 
+    /// The per-draw quantile the sampler replaced, kept as the oracle:
+    /// it takes the anchor logs on every call.
+    fn reference_quantile(dist: &FlowSizeDist, u: f64) -> f64 {
+        fn interp_log(a: f64, b: f64, t: f64) -> f64 {
+            (a.ln() + (b.ln() - a.ln()) * t).exp()
+        }
+        let u = u.clamp(0.0, 1.0);
+        let (first_size, first_p) = dist.anchors[0];
+        if u <= first_p {
+            let t = if first_p == 0.0 { 0.0 } else { u / first_p };
+            return interp_log(64.0_f64.min(first_size), first_size, t);
+        }
+        for w in dist.anchors.windows(2) {
+            let (s0, p0) = w[0];
+            let (s1, p1) = w[1];
+            if u <= p1 {
+                let t = if (p1 - p0).abs() < 1e-12 {
+                    1.0
+                } else {
+                    (u - p0) / (p1 - p0)
+                };
+                return interp_log(s0, s1, t);
+            }
+        }
+        dist.anchors.last().expect("non-empty").0
+    }
+
+    #[test]
+    fn sampler_matches_reference_quantile_bit_for_bit() {
+        // The paper workloads, plus one with a zero first probability
+        // and a near-flat CDF step, which take the fixed-`t` branches.
+        let mut dists = FlowSizeDist::all_paper_workloads();
+        dists.push(FlowSizeDist::from_anchors(
+            "degenerate",
+            &[
+                (10.0, 0.0),
+                (1e3, 0.4),
+                (2e3, 0.400_000_000_000_5),
+                (5e3, 1.0),
+            ],
+        ));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x51ce);
+        let seeded: Vec<f64> = (0..100_000).map(|_| rng.random_range(0.0..1.0)).collect();
+        for dist in &dists {
+            let sampler = SizeSampler::new(dist);
+            let mut probes = seeded.clone();
+            for &(_, p) in &dist.anchors {
+                probes.extend([p.next_down(), p, p.next_up()]);
+            }
+            probes.extend([0.0, -0.0, 1.0, 1.0_f64.next_down(), -1.0, 2.0, f64::NAN]);
+            for u in probes {
+                let (got, want) = (sampler.quantile(u), reference_quantile(dist, u));
+                assert_eq!(got.to_bits(), want.to_bits(), "{} at u = {u:e}", dist.name);
+            }
+        }
+    }
+
     #[test]
     fn samples_within_support() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         for dist in FlowSizeDist::all_paper_workloads() {
+            let sampler = SizeSampler::new(&dist);
             for _ in 0..1000 {
-                let s = dist.sample(&mut rng);
+                let s = sampler.sample(&mut rng);
                 assert!((64.0..=100.0e6 + 1.0).contains(&s), "{}: {s}", dist.name);
             }
         }
